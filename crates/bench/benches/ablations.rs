@@ -17,7 +17,8 @@ use tracto::mcmc::voxelwise::default_proposal_scales;
 use tracto::phantom::gradients;
 use tracto::prelude::*;
 use tracto::rng::{BoxMuller, HybridTaus};
-use tracto::tracking2::{CpuTracker, GpuTracker, RecordMode, SeedOrdering};
+use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
+use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
 use tracto_bench::{fmt_s, row_params, tracking_workload, BenchScale, TableWriter};
 
 fn main() {
@@ -40,7 +41,7 @@ fn main() {
             run_seed: 42,
             record_visits: false,
         };
-        let report = tracker.run(&mut Gpu::new(device.clone()));
+        let report = tracker.run(&mut Gpu::new(device.clone()), 1);
         w.line(&format!(
             "   wavefront {:>2}: simd util {:>5.1}%, kernel {} s",
             device.wavefront_size,
@@ -224,7 +225,7 @@ fn main() {
             run_seed: 42,
             record_visits: false,
         };
-        let report = tracker.run(&mut Gpu::new(DeviceConfig::radeon_5870()));
+        let report = tracker.run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1);
         w.line(&format!(
             "   {label:<16}: kernel {} s, simd util {:>5.1}%",
             fmt_s(report.ledger.kernel_s),

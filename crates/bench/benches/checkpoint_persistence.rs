@@ -2,7 +2,7 @@
 //!
 //! Three measurements behind the `--state-dir` machinery:
 //!
-//! 1. **MCMC checkpoint overhead** — `run_mcmc_gpu_checkpointed` with a
+//! 1. **MCMC checkpoint overhead** — `run_mcmc_gpu` with a
 //!    snapshot every N segments versus the plain runner, asserting the
 //!    sample volumes stay bit-identical (durability must never change
 //!    numerics).
@@ -18,7 +18,7 @@
 use std::time::Instant;
 use tracto::mcmc::{CheckpointPolicy, CheckpointStore, SnapshotLoad};
 use tracto::prelude::*;
-use tracto::{run_mcmc_gpu_checkpointed, PersistentCheckpoint};
+use tracto::{run_mcmc_gpu, PersistentCheckpoint};
 use tracto_bench::TableWriter;
 use tracto_serve::JobJournal;
 use tracto_trace::Tracer;
@@ -49,7 +49,18 @@ fn main() {
     let store = CheckpointStore::open(&root.join("checkpoints")).unwrap();
     let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
     let t0 = Instant::now();
-    let baseline = tracto::run_mcmc_gpu(&mut gpu, &ds.acq, &ds.dwi, &ds.wm_mask, prior, config, 77);
+    let baseline = tracto::run_mcmc_gpu(
+        &mut gpu,
+        &ds.acq,
+        &ds.dwi,
+        &ds.wm_mask,
+        prior,
+        config,
+        77,
+        1,
+        None,
+    )
+    .unwrap();
     let base_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let widths = [6, 6, 9, 10];
@@ -74,7 +85,7 @@ fn main() {
         };
         let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
         let t0 = Instant::now();
-        let report = run_mcmc_gpu_checkpointed(
+        let report = run_mcmc_gpu(
             &mut gpu,
             &ds.acq,
             &ds.dwi,
@@ -82,8 +93,8 @@ fn main() {
             prior,
             config,
             77,
-            CheckpointPolicy::every(every),
-            &persist,
+            1,
+            Some((CheckpointPolicy::every(every), &persist)),
         )
         .expect("checkpointed run");
         let ms = t0.elapsed().as_secs_f64() * 1e3;

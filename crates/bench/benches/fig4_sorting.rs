@@ -7,7 +7,7 @@
 
 use tracto::prelude::*;
 use tracto::stats::loadbalance::{charged_iterations, neighbor_mean_abs_diff, utilization};
-use tracto::tracking2::{GpuTracker, SeedOrdering};
+use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
 use tracto_bench::{row_params, tracking_workload, BenchScale, TableWriter};
 
 fn sparkline(loads: &[u32], buckets: usize) -> String {
@@ -39,7 +39,7 @@ fn main() {
         run_seed: 42,
         record_visits: false,
     };
-    let report = tracker.run(&mut Gpu::new(DeviceConfig::radeon_5870()));
+    let report = tracker.run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1);
 
     let mut w = TableWriter::new("fig4", "Fig. 4: work loads before and after sorting");
     // (a) original sequence = pilot sample's natural-order loads.

@@ -8,7 +8,7 @@
 use tracto::stats::ecdf::Ecdf;
 use tracto::stats::expfit::{bootstrap_lambda_ci, semilog_fit, ExponentialFit};
 use tracto::stats::Histogram;
-use tracto::tracking2::{CpuTracker, RecordMode};
+use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
 use tracto_bench::{row_params, tracking_workload, BenchScale, TableWriter};
 
 fn main() {

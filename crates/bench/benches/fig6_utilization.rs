@@ -7,7 +7,7 @@
 
 use tracto::prelude::*;
 use tracto::stats::loadbalance::rectangle_model;
-use tracto::tracking2::{CpuTracker, RecordMode};
+use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
 use tracto_bench::{row_params, tracking_workload, BenchScale, TableWriter};
 
 fn main() {

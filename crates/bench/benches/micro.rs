@@ -160,7 +160,7 @@ fn bench_tensor_fit(c: &mut Criterion) {
 
 fn bench_end_to_end(c: &mut Criterion) {
     use tracto::synthetic::samples_from_truth;
-    use tracto::tracking2::{GpuTracker, SeedOrdering};
+    use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
     use tracto_gpu_sim::Gpu;
 
     let ds = tracto::phantom::datasets::single_bundle(Dim3::new(16, 10, 10), Some(25.0), 7);
@@ -199,7 +199,7 @@ fn bench_end_to_end(c: &mut Criterion) {
                 record_visits: false,
             };
             let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
-            black_box(tracker.run(&mut gpu).total_steps)
+            black_box(tracker.run(&mut gpu, 1).total_steps)
         })
     });
     g.finish();

@@ -116,7 +116,7 @@ fn main() {
         );
     }
 
-    // --- Warm-cache effect: the same TrackJob twice through the service.
+    // --- Warm-cache effect: the same tracking JobSpec twice through the service.
     let ds = Arc::new(datasets::single_bundle(Dim3::new(10, 7, 7), Some(20.0), 3));
     let mut cfg = PipelineConfig::fast();
     cfg.chain = ChainConfig {

@@ -8,7 +8,7 @@
 //! row.
 
 use tracto::prelude::*;
-use tracto::tracking2::{GpuTracker, SeedOrdering};
+use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
 use tracto_bench::{
     fmt_s, row_params, table2_rows, tracking_workload, BenchScale, HostModel, TableWriter,
 };
@@ -135,7 +135,7 @@ fn main() {
             };
             let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
             let t0 = std::time::Instant::now();
-            let report = tracker.run(&mut gpu);
+            let report = tracker.run(&mut gpu, 1);
             let wall = t0.elapsed().as_secs_f64();
             let l = report.ledger;
             let cpu_s = host.tracking_seconds(report.total_steps);

@@ -64,7 +64,10 @@ fn main() {
             PriorConfig::default(),
             chain,
             77,
-        );
+            1,
+            None,
+        )
+        .unwrap();
         let wall = t0.elapsed().as_secs_f64();
         // Scale simulated kernel seconds from the subset to the full mask
         // (lanes are perfectly balanced, so time is linear in voxel count).

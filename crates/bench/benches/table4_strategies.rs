@@ -6,7 +6,7 @@
 //! printed alongside.
 
 use tracto::prelude::*;
-use tracto::tracking2::{GpuTracker, SeedOrdering};
+use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
 use tracto_bench::{fmt_s, row_params, tracking_workload, BenchScale, TableWriter};
 
 const PAPER: [(&str, f64, f64, f64, f64); 11] = [
@@ -80,7 +80,7 @@ fn main() {
             record_visits: false,
         };
         let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
-        let report = tracker.run(&mut gpu);
+        let report = tracker.run(&mut gpu, 1);
         match reference_steps {
             None => reference_steps = Some(report.total_steps),
             Some(expected) => assert_eq!(

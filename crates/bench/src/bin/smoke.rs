@@ -193,7 +193,7 @@ fn check_analytic_vs_mcmc(doc: &Json, failures: &mut Vec<String>) {
                 record_visits: false,
             };
             let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
-            tracker.run(&mut gpu).ledger.total_s()
+            tracker.run(&mut gpu, 1).ledger.total_s()
         };
     let mcmc_s = simulated_s(&samples, params, 0.5);
     let analytic_s = simulated_s(&mean_posterior(&samples), analytic_params(&params), 0.0);

@@ -55,7 +55,7 @@ pub fn run(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
         );
         if args.switch("gpu") {
             let mut gpu = Gpu::with_tracer(DeviceConfig::radeon_5870(), tracer.clone());
-            let report = run_mcmc_gpu(&mut gpu, &acq, &dwi, &mask, prior, config, seed);
+            let report = run_mcmc_gpu(&mut gpu, &acq, &dwi, &mask, prior, config, seed, 1, None)?;
             println!(
                 "simulated GPU time {:.2}s (kernel {:.2}s, transfer {:.2}s)",
                 report.ledger.total_s(),

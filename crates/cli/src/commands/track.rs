@@ -172,7 +172,7 @@ fn samples_from_cache(
         }
         None => {
             let mut gpu = Gpu::with_tracer(DeviceConfig::radeon_5870(), tracer.clone());
-            tracto::run_mcmc_gpu(&mut gpu, acq, dwi, mask, prior, chain, est_seed).samples
+            tracto::run_mcmc_gpu(&mut gpu, acq, dwi, mask, prior, chain, est_seed, 1, None)?.samples
         }
     };
     cache.put(key, &samples)?;
@@ -356,7 +356,7 @@ pub fn run(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
             run_seed: seed,
             record_visits: true,
         };
-        let report = tracker.run_streamed(&mut gpu, streams);
+        let report = tracker.run(&mut gpu, streams);
         println!(
             "simulated GPU: kernel {:.3}s, reduction {:.3}s, transfer {:.3}s \
              (util {:.1}%, {:.3}s hidden by streams)",

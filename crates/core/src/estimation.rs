@@ -8,6 +8,7 @@
 //! load-balancing contribution.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use tracto_diffusion::posterior::{BallSticksParams, NUM_PARAMETERS};
 use tracto_diffusion::{Acquisition, BallSticksPosterior, PriorConfig};
@@ -181,13 +182,34 @@ fn assemble_volumes(
     (volumes, voxels)
 }
 
-/// Run Step 1 on the simulated GPU: upload the DWI volume, run one lane per
+/// Run Step 1 on one simulated GPU: upload the DWI volume, run one lane per
 /// masked voxel for `NumLoops` iterations, download the six sample volumes.
 ///
 /// Results are bit-identical to
 /// [`VoxelEstimator::run_voxel`](tracto_mcmc::VoxelEstimator) with the same
 /// `(seed, voxel)` pairs, since lanes execute the same chain code with the
-/// same per-voxel RNG streams.
+/// same per-voxel RNG streams. Neither argument below changes them; each
+/// lane owns its RNG stream and guards on its own loop counter.
+///
+/// * `streams` splits the masked voxels into that many contiguous lane
+///   groups, each bound to its own stream, so one group's sample-volume
+///   readback hides behind the next group's kernel on the simulated clock.
+///   Chains are perfectly balanced, so the kernels serialize on the single
+///   compute engine and only transfers overlap — exactly what real streams
+///   buy on one GPU. With one stream the clock is the plain sequential sum.
+/// * `checkpoint` makes the run durable and resumable: the `NumLoops`
+///   launch is split into `policy.segments(..)` budgets, and after each
+///   non-final segment the full chain state (sampler, RNG, kept samples)
+///   is read back ([`CHECKPOINT_LANE_BYTES`] per lane) and written through
+///   the store — atomically, so a process killed at any instant leaves a
+///   complete snapshot from at most one checkpoint interval ago. On entry,
+///   a valid snapshot for the key is restored and its segments skipped; a
+///   corrupt or mismatched one emits `ckpt.corrupt` and the run restarts
+///   from scratch. The snapshot is discarded once the run completes.
+///
+/// Errors come from the snapshot store, or from a device whose fault plan
+/// fails a launch or transfer.
+#[allow(clippy::too_many_arguments)]
 pub fn run_mcmc_gpu(
     gpu: &mut Gpu,
     acq: &Acquisition,
@@ -196,111 +218,102 @@ pub fn run_mcmc_gpu(
     prior: PriorConfig,
     config: ChainConfig,
     seed: u64,
-) -> McmcGpuReport {
+    streams: usize,
+    checkpoint: Option<(CheckpointPolicy, &PersistentCheckpoint<'_>)>,
+) -> TractoResult<McmcGpuReport> {
     assert_eq!(dwi.nt(), acq.len(), "DWI volume count must match protocol");
     assert_eq!(dwi.dims(), mask.dims(), "mask dims must match DWI dims");
     gpu.reset();
 
     // Upload the 4-D DWI volume plus b-values/gradients (Fig. 1 inputs).
+    // Every group shares them; charging them to stream 0 makes each
+    // group's first launch wait on them (the groups' kernels serialize on
+    // the compute engine behind stream 0's).
     let dwi_bytes = dwi.len() as u64 * 4;
     let protocol_bytes = acq.len() as u64 * 16; // b + 3-vector per volume
-    gpu.transfer_to_device(dwi_bytes + protocol_bytes);
+    gpu.try_transfer_to_device_on(dwi_bytes + protocol_bytes, 0)?;
 
+    let (policy, persist) = checkpoint.unzip();
     let mut lanes = build_mcmc_lanes(acq, dwi, mask, prior, config, seed);
+    let segments_done = match persist {
+        Some(persist) => resume_from_snapshot(persist, &mut lanes, config, seed, || {
+            build_mcmc_lanes(acq, dwi, mask, prior, config, seed)
+        })?,
+        None => 0,
+    };
 
-    let kernel = McmcKernel { acq, prior, config };
-    // Every chain needs exactly NumLoops iterations: one launch, perfectly
-    // balanced lanes.
-    gpu.launch(&kernel, &mut lanes, config.num_loops());
-
-    // Download the six sample volumes.
-    let out_bytes = 6 * dwi.dims().len() as u64 * config.num_samples as u64 * 4;
-    gpu.transfer_to_host(out_bytes);
-
-    let (volumes, voxels) = assemble_volumes(&lanes, dwi, config);
-
-    McmcGpuReport {
-        samples: volumes,
-        ledger: *gpu.ledger(),
-        voxels,
-        checkpoints: 0,
-    }
-}
-
-/// [`run_mcmc_gpu`] driven through the stream-aware launch path: the masked
-/// voxels are split into `streams` contiguous lane groups, each bound to its
-/// own stream, so one group's sample-volume readback hides behind the next
-/// group's kernel on the simulated clock.
-///
-/// Chains are perfectly balanced, so each group still runs one launch of
-/// `NumLoops` — the kernels serialize on the single device's compute engine
-/// and only transfers overlap, which is exactly what real streams buy on
-/// one GPU. Each lane owns its per-voxel RNG stream and runs the same loop
-/// count, so the sample volumes are **bit-identical** to the serialized
-/// path regardless of stream count; only the simulated timeline changes.
-/// `streams <= 1` delegates to [`run_mcmc_gpu`] exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn run_mcmc_gpu_streamed(
-    gpu: &mut Gpu,
-    acq: &Acquisition,
-    dwi: &Volume4<f32>,
-    mask: &Mask,
-    prior: PriorConfig,
-    config: ChainConfig,
-    seed: u64,
-    streams: usize,
-) -> McmcGpuReport {
-    if streams <= 1 {
-        return run_mcmc_gpu(gpu, acq, dwi, mask, prior, config, seed);
-    }
-    assert_eq!(dwi.nt(), acq.len(), "DWI volume count must match protocol");
-    assert_eq!(dwi.dims(), mask.dims(), "mask dims must match DWI dims");
-    gpu.reset();
-
-    // The DWI volume and protocol are shared by every group; charge them to
-    // stream 0 so each group's first launch transitively waits on them (the
-    // groups' kernels serialize on the compute engine behind stream 0's).
-    let dwi_bytes = dwi.len() as u64 * 4;
-    let protocol_bytes = acq.len() as u64 * 16;
-    gpu.try_transfer_to_device_on(dwi_bytes + protocol_bytes, 0)
-        .expect("transfer failed on a device with a fault plan");
-
-    let mut lanes = build_mcmc_lanes(acq, dwi, mask, prior, config, seed);
-    let kernel = McmcKernel { acq, prior, config };
-
+    // Contiguous lane groups, one per stream. An empty mask still forms one
+    // (empty) group, so every stream count launches and downloads alike.
     let total = lanes.len();
-    let groups = streams.min(total.max(1));
-    let per_group = total.div_ceil(groups.max(1)).max(1);
-    // One balanced launch per group, issued in stream order so the clock
-    // pipelines group g's readback behind group g+1's kernel.
-    for (g, group) in lanes.chunks_mut(per_group).enumerate() {
-        gpu.try_launch_on(&kernel, group, config.num_loops(), g)
-            .expect("launch failed on a device with a fault plan");
+    let per_group = total.div_ceil(streams.clamp(1, total.max(1))).max(1);
+    let groups: Vec<Range<usize>> = (0..total.max(1))
+        .step_by(per_group)
+        .map(|start| start..(start + per_group).min(total))
+        .collect();
+
+    let kernel = McmcKernel { acq, prior, config };
+    // Every chain needs exactly NumLoops iterations: without checkpoints,
+    // one balanced launch per group.
+    let segments = policy.map_or_else(
+        || vec![config.num_loops()],
+        |policy| policy.segments(config.num_loops()),
+    );
+    let mut checkpoints = 0u64;
+    for (i, &budget) in segments.iter().enumerate().skip(segments_done as usize) {
+        // Issued in stream order so the clock pipelines group g's
+        // transfers behind group g+1's kernel.
+        for (g, range) in groups.iter().enumerate() {
+            gpu.try_launch_on(&kernel, &mut lanes[range.clone()], budget, g)?;
+        }
+        if i + 1 == segments.len() {
+            continue;
+        }
+        // The simulated device pays the same per-lane snapshot transfer as
+        // in-memory checkpointing; durability adds host-side fsync cost
+        // only (measured by the checkpoint_persistence bench).
+        for (g, range) in groups.iter().enumerate() {
+            gpu.try_transfer_to_host_on(range.len() as u64 * CHECKPOINT_LANE_BYTES, g)?;
+        }
+        if let Some(persist) = persist {
+            let key = persist.key.as_str();
+            let payload = encode_chain_state(&lanes, config, seed, i as u32 + 1);
+            persist.store.save(key, &payload)?;
+            checkpoints += 1;
+            persist.tracer.emit(
+                "ckpt.save",
+                &[
+                    ("key", Value::Text(key.to_string())),
+                    ("segment", (i as u64 + 1).into()),
+                    ("bytes", (payload.len() as u64).into()),
+                ],
+            );
+        }
     }
-    // Per-group share of the six sample volumes, proportional to lanes.
+
+    // Download the six sample volumes, each group its lane share.
     let out_bytes = 6 * dwi.dims().len() as u64 * config.num_samples as u64 * 4;
     let mut charged = 0u64;
-    let n_groups = total.div_ceil(per_group);
-    for g in 0..n_groups {
-        let lanes_in_group = per_group.min(total - g * per_group) as u64;
-        let share = if g + 1 == n_groups {
+    for (g, range) in groups.iter().enumerate() {
+        let share = if g + 1 == groups.len() {
             out_bytes - charged
         } else {
-            out_bytes * lanes_in_group / total as u64
+            out_bytes * range.len() as u64 / total as u64
         };
         charged += share;
-        gpu.try_transfer_to_host_on(share, g)
-            .expect("transfer failed on a device with a fault plan");
+        gpu.try_transfer_to_host_on(share, g)?;
     }
 
     let (volumes, voxels) = assemble_volumes(&lanes, dwi, config);
+    if let Some(persist) = persist {
+        persist.store.discard(&persist.key)?;
+    }
 
-    McmcGpuReport {
+    Ok(McmcGpuReport {
         samples: volumes,
         ledger: *gpu.ledger(),
         voxels,
-        checkpoints: 0,
-    }
+        checkpoints,
+    })
 }
 
 /// Run Step 1 across a device pool with chain checkpointing.
@@ -570,57 +583,36 @@ fn restore_chain_state(
     Ok(segments_done)
 }
 
-/// [`run_mcmc_gpu`] with durable, resumable checkpoints.
-///
-/// The `NumLoops` launch is split into `checkpoint.segments(..)` budgets;
-/// after each non-final segment the full chain state (sampler, RNG, kept
-/// samples) is encoded and written through `persist.store` — atomically, so
-/// a process killed at any instant leaves a complete snapshot from at most
-/// one checkpoint interval ago. On entry, an existing valid snapshot for
-/// `persist.key` is restored and the completed segments are skipped; a
-/// corrupt or mismatched snapshot emits a `ckpt.corrupt` event and the run
-/// restarts from scratch. Each chain guards on its own loop counter, so
-/// interrupted-and-resumed runs are bit-identical to uninterrupted ones.
-///
-/// The snapshot is discarded once the run completes.
-#[allow(clippy::too_many_arguments)]
-pub fn run_mcmc_gpu_checkpointed(
-    gpu: &mut Gpu,
-    acq: &Acquisition,
-    dwi: &Volume4<f32>,
-    mask: &Mask,
-    prior: PriorConfig,
+/// Restore `persist`'s snapshot onto `lanes` and return how many
+/// checkpoint segments it covers (0 when there is none). A corrupt or
+/// mismatched snapshot emits `ckpt.corrupt` and the run restarts from
+/// `fresh()` lanes.
+fn resume_from_snapshot(
+    persist: &PersistentCheckpoint<'_>,
+    lanes: &mut Vec<McmcLane>,
     config: ChainConfig,
     seed: u64,
-    checkpoint: CheckpointPolicy,
-    persist: &PersistentCheckpoint<'_>,
-) -> TractoResult<McmcGpuReport> {
-    assert_eq!(dwi.nt(), acq.len(), "DWI volume count must match protocol");
-    assert_eq!(dwi.dims(), mask.dims(), "mask dims must match DWI dims");
-    gpu.reset();
-
-    let dwi_bytes = dwi.len() as u64 * 4;
-    let protocol_bytes = acq.len() as u64 * 16;
-    gpu.transfer_to_device(dwi_bytes + protocol_bytes);
-
-    let mut lanes = build_mcmc_lanes(acq, dwi, mask, prior, config, seed);
+    fresh: impl FnOnce() -> Vec<McmcLane>,
+) -> TractoResult<u32> {
     let key = persist.key.as_str();
-    let mut segments_done = 0u32;
+    let corrupt = |reason: String| {
+        persist.tracer.emit(
+            "ckpt.corrupt",
+            &[
+                ("key", Value::Text(key.to_string())),
+                ("reason", Value::Text(reason)),
+            ],
+        );
+    };
     match persist.store.load(key)? {
-        SnapshotLoad::Missing => {}
+        SnapshotLoad::Missing => Ok(0),
         SnapshotLoad::Corrupt(reason) => {
-            persist.tracer.emit(
-                "ckpt.corrupt",
-                &[
-                    ("key", Value::Text(key.to_string())),
-                    ("reason", Value::Text(reason)),
-                ],
-            );
+            corrupt(reason);
+            Ok(0)
         }
         SnapshotLoad::Snapshot(payload) => {
-            match restore_chain_state(&mut lanes, config, seed, &payload) {
+            match restore_chain_state(lanes, config, seed, &payload) {
                 Ok(done) => {
-                    segments_done = done;
                     persist.tracer.emit(
                         "ckpt.resume",
                         &[
@@ -628,63 +620,19 @@ pub fn run_mcmc_gpu_checkpointed(
                             ("segments_done", u64::from(done).into()),
                         ],
                     );
+                    Ok(done)
                 }
                 Err(reason) => {
                     // Structurally valid envelope, wrong contents: same
                     // fallback as corruption — restart from scratch.
                     persist.store.discard(key)?;
-                    lanes = build_mcmc_lanes(acq, dwi, mask, prior, config, seed);
-                    persist.tracer.emit(
-                        "ckpt.corrupt",
-                        &[
-                            ("key", Value::Text(key.to_string())),
-                            ("reason", Value::Text(reason)),
-                        ],
-                    );
+                    *lanes = fresh();
+                    corrupt(reason);
+                    Ok(0)
                 }
             }
         }
     }
-
-    let kernel = McmcKernel { acq, prior, config };
-    let segments = checkpoint.segments(config.num_loops());
-    let mut checkpoints = 0u64;
-    for (i, &budget) in segments.iter().enumerate() {
-        if (i as u32) < segments_done {
-            continue; // already covered by the restored snapshot
-        }
-        gpu.launch(&kernel, &mut lanes, budget);
-        if i + 1 < segments.len() {
-            // The simulated device pays the same per-lane snapshot transfer
-            // as in-memory checkpointing; durability adds host-side fsync
-            // cost only (measured by the checkpoint_persistence bench).
-            gpu.transfer_to_host(lanes.len() as u64 * CHECKPOINT_LANE_BYTES);
-            let payload = encode_chain_state(&lanes, config, seed, i as u32 + 1);
-            let bytes = payload.len() as u64;
-            persist.store.save(key, &payload)?;
-            checkpoints += 1;
-            persist.tracer.emit(
-                "ckpt.save",
-                &[
-                    ("key", Value::Text(key.to_string())),
-                    ("segment", (i as u64 + 1).into()),
-                    ("bytes", bytes.into()),
-                ],
-            );
-        }
-    }
-
-    let out_bytes = 6 * dwi.dims().len() as u64 * config.num_samples as u64 * 4;
-    gpu.transfer_to_host(out_bytes);
-    let (volumes, voxels) = assemble_volumes(&lanes, dwi, config);
-    persist.store.discard(key)?;
-
-    Ok(McmcGpuReport {
-        samples: volumes,
-        ledger: *gpu.ledger(),
-        voxels,
-        checkpoints,
-    })
 }
 
 #[cfg(test)]
@@ -692,7 +640,7 @@ mod tests {
     use super::*;
     use tracto_gpu_sim::DeviceConfig;
     use tracto_mcmc::VoxelEstimator;
-    use tracto_phantom::datasets;
+    use tracto_phantom::{datasets, Dataset};
     use tracto_volume::{Dim3, Ijk};
 
     fn small_gpu() -> Gpu {
@@ -704,6 +652,23 @@ mod tests {
         })
     }
 
+    /// Step 1 on `gpu` with the default prior.
+    fn estimate(
+        gpu: &mut Gpu,
+        ds: &Dataset,
+        mask: &Mask,
+        config: ChainConfig,
+        seed: u64,
+        streams: usize,
+        checkpoint: Option<(CheckpointPolicy, &PersistentCheckpoint<'_>)>,
+    ) -> McmcGpuReport {
+        let prior = PriorConfig::default();
+        run_mcmc_gpu(
+            gpu, &ds.acq, &ds.dwi, mask, prior, config, seed, streams, checkpoint,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn gpu_mcmc_matches_cpu_reference_exactly() {
         let ds = datasets::single_bundle(Dim3::new(6, 4, 4), Some(25.0), 3);
@@ -711,7 +676,7 @@ mod tests {
         let config = ChainConfig::fast_test();
         let prior = PriorConfig::default();
         let mut gpu = small_gpu();
-        let gpu_out = run_mcmc_gpu(&mut gpu, &ds.acq, &ds.dwi, &mask, prior, config, 77);
+        let gpu_out = estimate(&mut gpu, &ds, &mask, config, 77, 1, None);
         let cpu_out = VoxelEstimator::new(&ds.acq, &ds.dwi, &mask, prior, config, 77).run_serial();
         assert_eq!(
             gpu_out.samples.f1, cpu_out.f1,
@@ -728,15 +693,7 @@ mod tests {
         let mask = Mask::from_fn(ds.dwi.dims(), |c| c.k == 2);
         let config = ChainConfig::fast_test();
         let mut gpu = small_gpu();
-        let out = run_mcmc_gpu(
-            &mut gpu,
-            &ds.acq,
-            &ds.dwi,
-            &mask,
-            PriorConfig::default(),
-            config,
-            5,
-        );
+        let out = estimate(&mut gpu, &ds, &mask, config, 5, 1, None);
         // All lanes run NumLoops: zero lockstep waste.
         assert!(
             (out.ledger.simd_utilization() - 1.0).abs() < 1e-12,
@@ -751,14 +708,11 @@ mod tests {
         let ds = datasets::single_bundle(Dim3::new(6, 4, 4), Some(25.0), 3);
         let mask = Mask::from_fn(ds.dwi.dims(), |c| c.j == 2 && c.k == 2);
         let config = ChainConfig::fast_test();
-        let prior = PriorConfig::default();
         let mut gpu = small_gpu();
-        let serialized = run_mcmc_gpu(&mut gpu, &ds.acq, &ds.dwi, &mask, prior, config, 77);
+        let serialized = estimate(&mut gpu, &ds, &mask, config, 77, 1, None);
         for streams in [2usize, 3, 5] {
             let mut gpu = small_gpu();
-            let streamed = run_mcmc_gpu_streamed(
-                &mut gpu, &ds.acq, &ds.dwi, &mask, prior, config, 77, streams,
-            );
+            let streamed = estimate(&mut gpu, &ds, &mask, config, 77, streams, None);
             assert_eq!(
                 serialized.samples.f1, streamed.samples.f1,
                 "{streams} streams: f1 must be bit-identical"
@@ -777,9 +731,8 @@ mod tests {
         let ds = datasets::single_bundle(Dim3::new(6, 4, 4), Some(25.0), 3);
         let mask = Mask::from_fn(ds.dwi.dims(), |c| c.j == 2 && c.k == 2);
         let config = ChainConfig::fast_test();
-        let prior = PriorConfig::default();
         let mut gpu = small_gpu();
-        run_mcmc_gpu_streamed(&mut gpu, &ds.acq, &ds.dwi, &mask, prior, config, 77, 3);
+        estimate(&mut gpu, &ds, &mask, config, 77, 3, None);
         assert!(
             gpu.overlap_saved_s() > 0.0,
             "a group's readback should hide behind the next group's kernel"
@@ -789,17 +742,49 @@ mod tests {
 
     #[test]
     fn single_stream_delegates_to_serialized_path() {
+        // One stream is the serialized path: every charge starts when the
+        // previous one ends, so the clock is the plain sequential sum.
         let ds = datasets::single_bundle(Dim3::new(6, 4, 4), Some(25.0), 3);
         let mask = Mask::from_fn(ds.dwi.dims(), |c| c.j == 2 && c.k == 2);
         let config = ChainConfig::fast_test();
-        let prior = PriorConfig::default();
-        let mut a = small_gpu();
-        let plain = run_mcmc_gpu(&mut a, &ds.acq, &ds.dwi, &mask, prior, config, 9);
-        let mut b = small_gpu();
-        let streamed = run_mcmc_gpu_streamed(&mut b, &ds.acq, &ds.dwi, &mask, prior, config, 9, 1);
-        assert_eq!(plain.samples.f1, streamed.samples.f1);
-        assert_eq!(a.clock_s(), b.clock_s(), "streams=1 charges identically");
-        assert_eq!(b.overlap_saved_s(), 0.0);
+        let mut gpu = small_gpu();
+        let out = estimate(&mut gpu, &ds, &mask, config, 9, 1, None);
+        assert_eq!(out.ledger.launches, 1);
+        assert_eq!(gpu.clock_s(), gpu.stream_clock().serial_s());
+        assert_eq!(gpu.overlap_saved_s(), 0.0);
+    }
+
+    #[test]
+    fn every_stream_count_downloads_all_six_sample_volumes() {
+        // An empty mask has no lanes to split into groups; it must still
+        // launch once and read back the (zero-filled) sample volumes.
+        let ds = datasets::single_bundle(Dim3::new(6, 4, 4), None, 3);
+        let config = ChainConfig::fast_test();
+        let sample_bytes = 6 * ds.dwi.dims().len() as u64 * config.num_samples as u64 * 4;
+        let empty = Mask::from_fn(ds.dwi.dims(), |_| false);
+        let row = Mask::from_fn(ds.dwi.dims(), |c| c.j == 2 && c.k == 2);
+        for mask in [&empty, &row] {
+            let mut gpu = small_gpu();
+            let one = estimate(&mut gpu, &ds, mask, config, 5, 1, None);
+            let one_clock = gpu.clock_s();
+            assert_eq!(one.ledger.launches, 1);
+            for streams in [1usize, 2, 4] {
+                let mut gpu = small_gpu();
+                let out = estimate(&mut gpu, &ds, mask, config, 5, streams, None);
+                assert_eq!(
+                    out.ledger.bytes_d2h,
+                    sample_bytes,
+                    "{} voxels, {streams} streams",
+                    mask.count()
+                );
+                assert!(out.ledger.launches >= 1);
+                assert_eq!(out.samples.f1, one.samples.f1);
+                if mask.count() == 0 {
+                    assert_eq!(out.ledger.launches, 1);
+                    assert_eq!(gpu.clock_s(), one_clock, "{streams} streams");
+                }
+            }
+        }
     }
 
     #[test]
@@ -808,15 +793,7 @@ mod tests {
         let mask = Mask::from_fn(ds.dwi.dims(), |c| c == Ijk::new(3, 2, 2));
         let config = ChainConfig::fast_test();
         let mut gpu = small_gpu();
-        let out = run_mcmc_gpu(
-            &mut gpu,
-            &ds.acq,
-            &ds.dwi,
-            &mask,
-            PriorConfig::default(),
-            config,
-            5,
-        );
+        let out = estimate(&mut gpu, &ds, &mask, config, 5, 1, None);
         let dwi_bytes = ds.dwi.len() as u64 * 4;
         assert!(out.ledger.bytes_h2d >= dwi_bytes);
         let sample_bytes = 6 * ds.dwi.dims().len() as u64 * config.num_samples as u64 * 4;
@@ -830,7 +807,7 @@ mod tests {
         let config = ChainConfig::fast_test();
         let prior = PriorConfig::default();
         let mut gpu = small_gpu();
-        let single = run_mcmc_gpu(&mut gpu, &ds.acq, &ds.dwi, &mask, prior, config, 77);
+        let single = estimate(&mut gpu, &ds, &mask, config, 77, 1, None);
         let mut multi = MultiGpu::new(small_gpu().config().clone(), 3);
         let multi_out = run_mcmc_multi(
             &mut multi,
@@ -934,7 +911,7 @@ mod tests {
     /// throw everything else away.
     #[allow(clippy::too_many_arguments)]
     fn run_partially_then_die(
-        ds: &tracto_phantom::datasets::Dataset,
+        ds: &Dataset,
         mask: &Mask,
         config: ChainConfig,
         seed: u64,
@@ -967,10 +944,9 @@ mod tests {
         let ds = datasets::single_bundle(Dim3::new(6, 4, 4), Some(25.0), 3);
         let mask = Mask::from_fn(ds.dwi.dims(), |c| c.j == 2 && c.k == 2);
         let config = ChainConfig::fast_test();
-        let prior = PriorConfig::default();
         let policy = CheckpointPolicy::every(3);
         let mut gpu = small_gpu();
-        let clean = run_mcmc_gpu(&mut gpu, &ds.acq, &ds.dwi, &mask, prior, config, 77);
+        let clean = estimate(&mut gpu, &ds, &mask, config, 77, 1, None);
 
         let n_segments = policy.segments(config.num_loops()).len();
         assert!(
@@ -988,10 +964,15 @@ mod tests {
                 tracer: Tracer::shared(ring.clone()),
             };
             let mut gpu2 = small_gpu();
-            let resumed = run_mcmc_gpu_checkpointed(
-                &mut gpu2, &ds.acq, &ds.dwi, &mask, prior, config, 77, policy, &persist,
-            )
-            .unwrap();
+            let resumed = estimate(
+                &mut gpu2,
+                &ds,
+                &mask,
+                config,
+                77,
+                1,
+                Some((policy, &persist)),
+            );
             assert_eq!(
                 clean.samples.f1, resumed.samples.f1,
                 "crash after {crash_after} segment(s): f1 must be bit-identical"
@@ -1015,10 +996,9 @@ mod tests {
         let ds = datasets::single_bundle(Dim3::new(6, 4, 4), Some(25.0), 3);
         let mask = Mask::from_fn(ds.dwi.dims(), |c| c.j == 2 && c.k == 2);
         let config = ChainConfig::fast_test();
-        let prior = PriorConfig::default();
         let policy = CheckpointPolicy::every(3);
         let mut gpu = small_gpu();
-        let clean = run_mcmc_gpu(&mut gpu, &ds.acq, &ds.dwi, &mask, prior, config, 77);
+        let clean = estimate(&mut gpu, &ds, &mask, config, 77, 1, None);
 
         let (dir, store) = tmp_store("corrupt");
         run_partially_then_die(&ds, &mask, config, 77, policy, 2, &store, "job");
@@ -1036,10 +1016,15 @@ mod tests {
             tracer: Tracer::shared(ring.clone()),
         };
         let mut gpu2 = small_gpu();
-        let resumed = run_mcmc_gpu_checkpointed(
-            &mut gpu2, &ds.acq, &ds.dwi, &mask, prior, config, 77, policy, &persist,
-        )
-        .unwrap();
+        let resumed = estimate(
+            &mut gpu2,
+            &ds,
+            &mask,
+            config,
+            77,
+            1,
+            Some((policy, &persist)),
+        );
         assert_eq!(ring.count("ckpt.corrupt"), 1, "corruption must be reported");
         assert_eq!(ring.count("ckpt.resume"), 0, "no resume from garbage");
         assert_eq!(
@@ -1057,7 +1042,6 @@ mod tests {
         let ds = datasets::single_bundle(Dim3::new(6, 4, 4), Some(25.0), 3);
         let mask = Mask::from_fn(ds.dwi.dims(), |c| c.j == 2 && c.k == 2);
         let config = ChainConfig::fast_test();
-        let prior = PriorConfig::default();
         let policy = CheckpointPolicy::every(3);
         let (dir, store) = tmp_store("mismatch");
         run_partially_then_die(&ds, &mask, config, 123, policy, 1, &store, "job");
@@ -1069,12 +1053,17 @@ mod tests {
             tracer: Tracer::shared(ring.clone()),
         };
         let mut gpu = small_gpu();
-        let resumed = run_mcmc_gpu_checkpointed(
-            &mut gpu, &ds.acq, &ds.dwi, &mask, prior, config, 77, policy, &persist,
-        )
-        .unwrap();
+        let resumed = estimate(
+            &mut gpu,
+            &ds,
+            &mask,
+            config,
+            77,
+            1,
+            Some((policy, &persist)),
+        );
         let mut gpu2 = small_gpu();
-        let clean = run_mcmc_gpu(&mut gpu2, &ds.acq, &ds.dwi, &mask, prior, config, 77);
+        let clean = estimate(&mut gpu2, &ds, &mask, config, 77, 1, None);
         assert_eq!(clean.samples.f1, resumed.samples.f1);
         assert_eq!(ring.count("ckpt.corrupt"), 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1085,7 +1074,6 @@ mod tests {
         let ds = datasets::single_bundle(Dim3::new(6, 4, 4), Some(25.0), 3);
         let mask = Mask::from_fn(ds.dwi.dims(), |c| c.j == 2 && c.k == 2);
         let config = ChainConfig::fast_test();
-        let prior = PriorConfig::default();
         let (dir, store) = tmp_store("fresh");
         let persist = PersistentCheckpoint {
             store: &store,
@@ -1093,24 +1081,72 @@ mod tests {
             tracer: Tracer::disabled(),
         };
         let mut gpu = small_gpu();
-        let ckpt = run_mcmc_gpu_checkpointed(
+        let ckpt = estimate(
             &mut gpu,
-            &ds.acq,
-            &ds.dwi,
+            &ds,
             &mask,
-            prior,
             config,
             77,
-            CheckpointPolicy::every(3),
-            &persist,
-        )
-        .unwrap();
+            1,
+            Some((CheckpointPolicy::every(3), &persist)),
+        );
         let mut gpu2 = small_gpu();
-        let plain = run_mcmc_gpu(&mut gpu2, &ds.acq, &ds.dwi, &mask, prior, config, 77);
+        let plain = estimate(&mut gpu2, &ds, &mask, config, 77, 1, None);
         assert_eq!(ckpt.samples.f1, plain.samples.f1);
         assert_eq!(ckpt.samples.th2, plain.samples.th2);
         assert!(ckpt.checkpoints > 0, "snapshots were written");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streamed_run_resumes_from_a_persisted_snapshot_bit_identical() {
+        let ds = datasets::single_bundle(Dim3::new(6, 4, 4), Some(25.0), 3);
+        let mask = Mask::from_fn(ds.dwi.dims(), |c| c.k == 2);
+        let config = ChainConfig::fast_test();
+        let policy = CheckpointPolicy::every(3);
+        let mut gpu = small_gpu();
+        let clean = estimate(&mut gpu, &ds, &mask, config, 77, 1, None);
+        let n_segments = policy.segments(config.num_loops()).len();
+        for streams in [2usize, 3] {
+            let (dir, store) = tmp_store(&format!("streamed{streams}"));
+            run_partially_then_die(
+                &ds,
+                &mask,
+                config,
+                77,
+                policy,
+                n_segments / 2,
+                &store,
+                "job",
+            );
+            let ring = std::sync::Arc::new(tracto_trace::RingSink::new(4096));
+            let persist = PersistentCheckpoint {
+                store: &store,
+                key: "job".to_string(),
+                tracer: Tracer::shared(ring.clone()),
+            };
+            let mut gpu = small_gpu();
+            let resumed = estimate(
+                &mut gpu,
+                &ds,
+                &mask,
+                config,
+                77,
+                streams,
+                Some((policy, &persist)),
+            );
+            assert_eq!(ring.count("ckpt.resume"), 1, "{streams} streams");
+            assert_eq!(clean.samples.f1, resumed.samples.f1, "{streams} streams");
+            assert_eq!(clean.samples.f2, resumed.samples.f2);
+            assert_eq!(clean.samples.th1, resumed.samples.th1);
+            assert_eq!(clean.samples.ph1, resumed.samples.ph1);
+            assert_eq!(clean.samples.th2, resumed.samples.th2);
+            assert_eq!(clean.samples.ph2, resumed.samples.ph2);
+            assert_eq!(clean.voxels, resumed.voxels);
+            assert!(resumed.checkpoints > 0, "later segments still snapshot");
+            assert_eq!(store.load("job").unwrap(), SnapshotLoad::Missing);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1119,15 +1155,7 @@ mod tests {
         let mask = Mask::from_fn(ds.dwi.dims(), |c| c == Ijk::new(3, 2, 2));
         let config = ChainConfig::fast_test();
         let mut gpu = small_gpu();
-        let out = run_mcmc_gpu(
-            &mut gpu,
-            &ds.acq,
-            &ds.dwi,
-            &mask,
-            PriorConfig::default(),
-            config,
-            5,
-        );
+        let out = estimate(&mut gpu, &ds, &mask, config, 5, 1, None);
         assert_eq!(out.samples.num_samples(), config.num_samples as usize);
     }
 }

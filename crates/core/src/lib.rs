@@ -10,10 +10,10 @@
 //!    white-matter voxel, Metropolis–Hastings sampling of the
 //!    ball-and-two-sticks posterior yields six 4-D sample volumes
 //!    `(f₁, f₂, θ₁, θ₂, φ₁, φ₂)`.
-//! 2. **Global connectivity estimation** ([`tracking2`]): probabilistic
-//!    streamlining runs deterministic tracking once per sample volume per
-//!    seed, with the paper's increasing-interval kernel segmentation on the
-//!    simulated GPU.
+//! 2. **Global connectivity estimation** ([`tracking::gpu`],
+//!    [`tracking::probabilistic`]): probabilistic streamlining runs
+//!    deterministic tracking once per sample volume per seed, with the
+//!    paper's increasing-interval kernel segmentation on the simulated GPU.
 //!
 //! ```no_run
 //! use tracto::prelude::*;
@@ -36,16 +36,8 @@ pub mod estimation;
 pub mod loaded;
 pub mod pipeline;
 pub mod synthetic;
-/// Step-2 drivers re-exported from the tracking crate.
-pub mod tracking2 {
-    pub use tracto_tracking::gpu::{GpuTracker, GpuTrackingReport, SeedOrdering};
-    pub use tracto_tracking::probabilistic::{CpuTracker, RecordMode, TrackingOutput};
-}
 
-pub use estimation::{
-    run_mcmc_gpu, run_mcmc_gpu_checkpointed, run_mcmc_gpu_streamed, run_mcmc_multi, McmcGpuReport,
-    PersistentCheckpoint,
-};
+pub use estimation::{run_mcmc_gpu, run_mcmc_multi, McmcGpuReport, PersistentCheckpoint};
 pub use pipeline::{Backend, Pipeline, PipelineConfig, PipelineOutcome};
 
 pub use tracto_diffusion as diffusion;
@@ -59,9 +51,7 @@ pub use tracto_volume as volume;
 
 /// Convenient glob-import surface for examples and tests.
 pub mod prelude {
-    pub use crate::estimation::{
-        run_mcmc_gpu, run_mcmc_gpu_streamed, run_mcmc_multi, McmcGpuReport,
-    };
+    pub use crate::estimation::{run_mcmc_gpu, run_mcmc_multi, McmcGpuReport};
     pub use crate::pipeline::{Backend, Pipeline, PipelineConfig, PipelineOutcome};
     pub use tracto_diffusion::{Acquisition, BallSticksPosterior, PriorConfig};
     pub use tracto_gpu_sim::{DeviceConfig, Gpu, TimingLedger};

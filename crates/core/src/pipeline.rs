@@ -1,7 +1,7 @@
 //! The end-to-end pipeline: dataset → MCMC sampling → probabilistic
 //! streamlining → connectivity.
 
-use crate::estimation::run_mcmc_gpu_streamed;
+use crate::estimation::run_mcmc_gpu;
 use std::time::{Duration, Instant};
 use tracto_diffusion::PriorConfig;
 use tracto_gpu_sim::{DeviceConfig, Gpu, TimingLedger};
@@ -208,7 +208,7 @@ impl Pipeline {
                 ),
                 Backend::GpuSim(device) => {
                     let mut gpu = Gpu::with_tracer(device.clone(), self.tracer.clone());
-                    let report = run_mcmc_gpu_streamed(
+                    let report = run_mcmc_gpu(
                         &mut gpu,
                         &dataset.acq,
                         &dataset.dwi,
@@ -217,7 +217,9 @@ impl Pipeline {
                         cfg.chain,
                         cfg.seed,
                         cfg.streams,
-                    );
+                        None,
+                    )
+                    .expect("a run without a snapshot store on a fault-free device cannot fail");
                     (report.samples, Some(report.ledger))
                 }
             }
@@ -292,7 +294,7 @@ impl Pipeline {
                     run_seed: cfg.seed,
                     record_visits: cfg.record_connectivity,
                 };
-                let report = tracker.run_streamed(&mut gpu, cfg.streams);
+                let report = tracker.run(&mut gpu, cfg.streams);
                 let out = TrackingOutput {
                     lengths_by_sample: report.lengths_by_sample.clone(),
                     total_steps: report.total_steps,

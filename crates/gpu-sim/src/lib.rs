@@ -20,12 +20,11 @@
 //! * [`TimingLedger`] — accumulated kernel / host-reduction / transfer time,
 //!   the three columns of the paper's Tables II and IV;
 //! * [`schedule`] — an event trace of the run (the paper's Figs. 3 and 7);
-//! * [`overlap`] — the two-stream overlapped scheduler the paper sketches in
-//!   Fig. 8 as future work;
-//! * [`stream`] — the same overlap cost model charged *online* on the
-//!   simulated clock: every launch/transfer/reduction names a stream, and
-//!   per-resource availability (GPU, DMA link, host CPU) decides how much
-//!   of it hides behind other streams' work.
+//! * [`stream`] — the CPU–GPU overlap the paper sketches in Fig. 8 as
+//!   future work, charged *online* on the simulated clock: every
+//!   launch/transfer/reduction names a stream, and per-resource
+//!   availability (GPU, DMA link, host CPU) decides how much of it hides
+//!   behind other streams' work.
 //!
 //! Because lanes are mutated by real Rust code, results are bit-identical to
 //! a serial CPU execution of the same algorithm — the property the paper
@@ -41,7 +40,6 @@ mod ledger;
 
 pub mod fault;
 pub mod multi;
-pub mod overlap;
 pub mod schedule;
 pub mod stream;
 

@@ -12,8 +12,8 @@
 //!
 //! With a single stream every charge starts exactly at the stream's ready
 //! time (a resource can never be busy past it), so the clock degenerates to
-//! the plain sequential sum the serialized path has always charged —
-//! bit-identical, not merely close. Extra streams can only move segments
+//! the plain sequential sum of its charges — bit-identical, not merely
+//! close. Extra streams can only move segments
 //! earlier, which is where the overlap saving comes from.
 
 /// Greedy earliest-start scheduler over streams × resources.
@@ -255,7 +255,7 @@ mod tests {
     fn overlap_matches_fig8_two_stream_model() {
         // Two identical jobs of (upload 0.2, kernel 1.0, readback 0.2) on
         // one GPU + one DMA engine: stream 1's upload hides behind stream
-        // 0's kernel, exactly the overlap.rs pipeline model. Charges are
+        // 0's kernel, the Fig. 8 pipeline. Charges are
         // issued interleaved — submission order is issue order, so a
         // pipelined driver interleaves streams to realize the overlap.
         let mut c = StreamClock::new();
@@ -273,6 +273,72 @@ mod tests {
         assert!((c.makespan_s() - 2.4).abs() < 1e-15);
         assert!((c.saved_s() - 0.4).abs() < 1e-15);
         assert!(c.occupancy() > 1.0);
+    }
+
+    /// Issue `k` identical streams of `(kernel, host)` segments round-robin
+    /// by segment, kernels on resource 0 and host work on resource 1.
+    fn interleave(segments: &[(f64, f64)], k: usize) -> StreamClock {
+        let mut c = StreamClock::new();
+        for &(kernel_s, host_s) in segments {
+            for stream in 0..k {
+                c.charge(stream, 0, kernel_s);
+                c.charge(stream, 1, host_s);
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn single_stream_no_overlap_possible() {
+        let c = interleave(&[(1.0, 0.5); 4], 1);
+        assert_eq!(c.serial_s(), 6.0);
+        assert_eq!(c.makespan_s(), 6.0);
+        assert_eq!(c.saved_s(), 0.0);
+    }
+
+    #[test]
+    fn two_streams_overlap_saves_time() {
+        let c = interleave(&[(1.0, 1.0); 4], 2);
+        assert_eq!(c.serial_s(), 16.0);
+        // Balanced kernels and host work pipeline almost completely:
+        // makespan = 8 busy GPU seconds + 1 of pipeline drain.
+        assert_eq!(c.makespan_s(), 9.0);
+        assert!(c.saved_s() / c.serial_s() > 0.35);
+    }
+
+    #[test]
+    fn overlap_never_worse_than_sequential() {
+        let a = [(0.5, 0.1), (2.0, 0.4), (0.2, 1.0)];
+        let b = [(1.0, 1.0), (0.1, 0.1)];
+        let mut c = StreamClock::new();
+        for i in 0..a.len().max(b.len()) {
+            for (stream, segments) in [&a[..], &b[..]].into_iter().enumerate() {
+                if let Some(&(kernel_s, host_s)) = segments.get(i) {
+                    c.charge(stream, 0, kernel_s);
+                    c.charge(stream, 1, host_s);
+                }
+            }
+        }
+        assert!((c.serial_s() - 6.4).abs() < 1e-12);
+        assert!(c.makespan_s() <= c.serial_s() + 1e-12);
+    }
+
+    #[test]
+    fn overlap_bounded_by_resource_totals() {
+        let c = interleave(&[(1.0, 0.2); 5], 2);
+        let gpu_total = 10.0;
+        assert!(
+            c.makespan_s() >= gpu_total,
+            "GPU is the bottleneck resource"
+        );
+        assert!(c.makespan_s() < c.serial_s());
+    }
+
+    #[test]
+    fn host_dominated_streams_bottleneck_on_host() {
+        let c = interleave(&[(0.1, 1.0); 4], 2);
+        assert!(c.makespan_s() >= 8.0, "host resource floor");
+        assert!(c.makespan_s() < c.serial_s());
     }
 
     #[test]

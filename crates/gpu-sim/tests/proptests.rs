@@ -1,8 +1,7 @@
 //! Property-based tests of the simulator's cost-model invariants.
 
 use proptest::prelude::*;
-use tracto_gpu_sim::overlap::{schedule_streams, SegmentCost};
-use tracto_gpu_sim::{DeviceConfig, Gpu, LaneStatus, SimKernel};
+use tracto_gpu_sim::{DeviceConfig, Gpu, LaneStatus, SimKernel, StreamClock};
 
 struct Countdown;
 impl SimKernel for Countdown {
@@ -110,21 +109,22 @@ proptest! {
 
     #[test]
     fn overlap_bounded_by_sequential_and_resource_floor(
-        kernel_costs in prop::collection::vec(0.001f64..1.0, 1..10),
-        host_costs in prop::collection::vec(0.001f64..1.0, 1..10),
-        streams in 1usize..4,
+        charges in prop::collection::vec((0usize..4, 0usize..3, 0.001f64..1.0), 1..40),
     ) {
-        let n = kernel_costs.len().min(host_costs.len());
-        let segs: Vec<SegmentCost> = (0..n)
-            .map(|i| SegmentCost { kernel_s: kernel_costs[i], host_s: host_costs[i] })
-            .collect();
-        let all: Vec<Vec<SegmentCost>> = (0..streams).map(|_| segs.clone()).collect();
-        let r = schedule_streams(&all);
-        prop_assert!(r.overlapped_s <= r.sequential_s + 1e-9);
-        let gpu_total: f64 = segs.iter().map(|s| s.kernel_s).sum::<f64>() * streams as f64;
-        let host_total: f64 = segs.iter().map(|s| s.host_s).sum::<f64>() * streams as f64;
-        prop_assert!(r.overlapped_s + 1e-9 >= gpu_total.max(host_total),
+        let mut clock = StreamClock::new();
+        let mut one_stream = StreamClock::new();
+        let mut busy = [0.0f64; 3];
+        for &(stream, resource, duration_s) in &charges {
+            clock.charge(stream, resource, duration_s);
+            one_stream.charge(0, resource, duration_s);
+            busy[resource] += duration_s;
+        }
+        prop_assert!(clock.makespan_s() <= clock.serial_s() + 1e-9);
+        let floor = busy.iter().copied().fold(0.0, f64::max);
+        prop_assert!(clock.makespan_s() + 1e-9 >= floor,
             "makespan below the busy-resource floor");
+        prop_assert_eq!(one_stream.makespan_s(), one_stream.serial_s());
+        prop_assert_eq!(one_stream.serial_s(), clock.serial_s());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! where finished jobs' results are demultiplexed back out.
 //!
 //! Results are bit-identical to running each job alone through
-//! [`tracto::tracking2::GpuTracker`]: lane initialization reproduces its
+//! [`tracto::tracking::gpu::GpuTracker`]: lane initialization reproduces its
 //! recipe exactly (jittered seed → initial direction → walker), stepping is
 //! deterministic, and the per-job accumulators are order-independent sums.
 
@@ -490,7 +490,7 @@ fn retire(lane: &BatchLane, per_job: &mut [JobAccum]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tracto::tracking2::{GpuTracker, SeedOrdering};
+    use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
     use tracto_gpu_sim::{DeviceConfig, Gpu};
     use tracto_volume::Dim3;
 
@@ -555,7 +555,7 @@ mod tests {
             run_seed: job.run_seed,
             record_visits: job.record_visits,
         };
-        let r = tracker.run(&mut Gpu::new(device()));
+        let r = tracker.run(&mut Gpu::new(device()), 1);
         (r.lengths_by_sample, r.total_steps)
     }
 
@@ -607,7 +607,7 @@ mod tests {
             run_seed: 3,
             record_visits: true,
         };
-        let solo = tracker.run(&mut Gpu::new(device()));
+        let solo = tracker.run(&mut Gpu::new(device()), 1);
         let solo_acc = solo.connectivity.unwrap();
         assert_eq!(batched.total_streamlines(), solo_acc.total_streamlines());
         assert_eq!(batched.probability_volume(), solo_acc.probability_volume());

@@ -5,10 +5,9 @@
 //! both fully hashable. The service therefore keys a byte-bounded cache of
 //! [`SampleVolumes`] stacks (victim choice per [`EvictionPolicy`]) on a
 //! content hash of `(dataset, PriorConfig, ChainConfig, seed)`, so a
-//! repeated `TrackJob` against a known dataset
-//! skips Step 1 entirely. A directory-backed variant persists entries in
-//! the CLI's TRV4 sample format so `tracto track --cache-dir` shares them
-//! across processes.
+//! repeated tracking job against a known dataset skips Step 1 entirely. A
+//! directory-backed variant persists entries in the CLI's TRV4 sample
+//! format so `tracto track --cache-dir` shares them across processes.
 
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};

@@ -4,12 +4,8 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tracto::diffusion::PriorConfig;
-use tracto::mcmc::{ChainConfig, SampleVolumes};
-use tracto::phantom::Dataset;
-use tracto::pipeline::PipelineConfig;
+use tracto::mcmc::SampleVolumes;
 use tracto::tracking::TrackingOutput;
-use tracto_volume::Vec3;
 
 /// Monotonic identifier the service assigns at submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,47 +17,7 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// Run Step 1 (voxelwise MCMC) for a dataset and warm the sample cache.
-#[derive(Clone)]
-pub struct EstimateJob {
-    /// The dataset to estimate (shared — many jobs can reference one).
-    pub dataset: Arc<Dataset>,
-    /// Posterior priors.
-    pub prior: PriorConfig,
-    /// Chain schedule.
-    pub chain: ChainConfig,
-    /// Master seed.
-    pub seed: u64,
-}
-
-/// Run the full pipeline for a dataset: Step 1 via the sample cache, Step 2
-/// batched with whatever other jobs are in flight.
-#[derive(Clone)]
-pub struct TrackJob {
-    /// The dataset to track on.
-    pub dataset: Arc<Dataset>,
-    /// Full pipeline configuration (chain + prior + tracking + seed).
-    pub config: PipelineConfig,
-    /// Seed points; `None` seeds every fiber-bearing ground-truth voxel,
-    /// exactly as [`tracto::Pipeline`] does.
-    pub seeds: Option<Vec<Vec3>>,
-    /// Give up if the job has not *started* tracking within this budget.
-    pub deadline: Option<Duration>,
-}
-
-impl TrackJob {
-    /// A job with default seeding and no deadline.
-    pub fn new(dataset: Arc<Dataset>, config: PipelineConfig) -> Self {
-        TrackJob {
-            dataset,
-            config,
-            seeds: None,
-            deadline: None,
-        }
-    }
-}
-
-/// Outcome of an [`EstimateJob`].
+/// Outcome of an estimation job.
 #[derive(Debug, Clone)]
 pub struct EstimateResult {
     /// The posterior sample stack (shared with the cache).
@@ -72,7 +28,7 @@ pub struct EstimateResult {
     pub voxels: usize,
 }
 
-/// Outcome of a [`TrackJob`].
+/// Outcome of a tracking job.
 #[derive(Debug, Clone)]
 pub struct TrackResult {
     /// Lengths, total steps, and optional connectivity — the same shape

@@ -62,9 +62,7 @@ pub use cache::{
 };
 pub use config::{ServiceConfig, ServiceConfigBuilder};
 pub use fleet::{Fleet, FleetConfig, HashRing, ReplicaStore};
-pub use job::{
-    EstimateJob, EstimateResult, JobError, JobId, JobOutput, Ticket, TrackJob, TrackResult,
-};
+pub use job::{EstimateResult, JobError, JobId, JobOutput, Ticket, TrackResult};
 pub use journal::{replay_text, JobJournal, RecoveredJob, Recovery};
 pub use listener::SocketServer;
 pub use metrics::MetricsSnapshot;

@@ -19,9 +19,7 @@
 //!
 //! Work enters through exactly one door: [`TractoService::submit`] takes a
 //! [`JobSpec`] — estimation or tracking, in-process dataset or phantom
-//! recipe — and returns a [`Ticket<JobOutput>`]. The legacy
-//! `submit_estimate`/`submit_track` methods survive as deprecated shims
-//! that convert to a `JobSpec` and call `submit`.
+//! recipe — and returns a [`Ticket<JobOutput>`].
 //!
 //! Backpressure: both queues are bounded; `submit` blocks when the prep
 //! queue is full, `try_submit` fails fast with [`JobError::QueueFull`].
@@ -32,9 +30,7 @@ use crate::batch::{run_batch_streamed, BatchJob};
 use crate::cache::{sample_key, DiskSampleCache, SampleCache, SampleKey};
 use crate::config::ServiceConfig;
 use crate::events::EventBus;
-use crate::job::{
-    EstimateJob, EstimateResult, JobError, JobId, JobOutput, Ticket, TrackJob, TrackResult,
-};
+use crate::job::{EstimateResult, JobError, JobId, JobOutput, Ticket, TrackResult};
 use crate::journal::{JobJournal, RecoveredJob};
 use crate::metrics::{Metrics, MetricsPersist, MetricsSnapshot};
 use crate::spec::{materialize_dataset, DatasetSource, JobSpec, Work};
@@ -52,7 +48,7 @@ use tracto::tracking::getter::Modality;
 use tracto::tracking::probabilistic::seeds_from_mask;
 use tracto::tracking::stop::mask_from_percentile;
 use tracto::tracking::tensorline::TensorField;
-use tracto::{run_mcmc_gpu, run_mcmc_gpu_checkpointed, PersistentCheckpoint};
+use tracto::{run_mcmc_gpu, PersistentCheckpoint};
 use tracto_diffusion::PriorConfig;
 use tracto_gpu_sim::{DeviceConfig, Gpu, MultiGpu};
 use tracto_proto::{CachePolicy, JobState, Priority};
@@ -673,7 +669,7 @@ impl Shared {
                     key: key_hex,
                     tracer: self.tracer.clone(),
                 };
-                match run_mcmc_gpu_checkpointed(
+                match run_mcmc_gpu(
                     gpu,
                     &dataset.acq,
                     &dataset.dwi,
@@ -681,8 +677,8 @@ impl Shared {
                     prior,
                     chain,
                     seed,
-                    CheckpointPolicy::every(every),
-                    &persist,
+                    1,
+                    Some((CheckpointPolicy::every(every), &persist)),
                 ) {
                     Ok(report) => return report,
                     Err(err) => {
@@ -709,7 +705,10 @@ impl Shared {
             prior,
             chain,
             seed,
+            1,
+            None,
         )
+        .expect("a run without a snapshot store on a fault-free device cannot fail")
     }
 }
 
@@ -1042,24 +1041,6 @@ impl TractoService {
             out.push((r.id, ticket));
         }
         out
-    }
-
-    /// Submit an estimation job.
-    #[deprecated(note = "use `submit(JobSpec)`; wait with `wait_estimate()`")]
-    pub fn submit_estimate(&self, job: EstimateJob) -> Ticket<JobOutput> {
-        self.submit(JobSpec::from(job))
-    }
-
-    /// Submit a tracking job.
-    #[deprecated(note = "use `submit(JobSpec)`; wait with `wait_track()`")]
-    pub fn submit_track(&self, job: TrackJob) -> Ticket<JobOutput> {
-        self.submit(JobSpec::from(job))
-    }
-
-    /// Submit a tracking job without blocking.
-    #[deprecated(note = "use `try_submit(JobSpec)`; wait with `wait_track()`")]
-    pub fn try_submit_track(&self, job: TrackJob) -> Result<Ticket<JobOutput>, JobError> {
-        self.try_submit(JobSpec::from(job))
     }
 
     /// Block until every accepted job has completed (successfully or not).
@@ -2614,35 +2595,5 @@ mod tests {
             .collect();
         assert!(ckpts.is_empty(), "completed runs leave no snapshots");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_route() {
-        let service = TractoService::start(small_config());
-        let ds = tiny_dataset(8);
-        let cfg = fast_pipeline(2);
-        let est = service.submit_estimate(EstimateJob {
-            dataset: Arc::clone(&ds),
-            prior: cfg.prior,
-            chain: cfg.chain,
-            seed: cfg.seed,
-        });
-        assert!(est.wait_estimate().expect("estimate shim works").voxels > 0);
-        let track = service.submit_track(TrackJob::new(Arc::clone(&ds), cfg.clone()));
-        assert!(
-            track
-                .wait_track()
-                .expect("track shim works")
-                .tracking
-                .total_steps
-                > 0
-        );
-        let t = service
-            .try_submit_track(TrackJob::new(Arc::clone(&ds), cfg))
-            .expect("try shim accepts");
-        t.wait_track().expect("try shim job completes");
-        let snap = service.shutdown();
-        assert_eq!(snap.completed, 3);
     }
 }

@@ -9,7 +9,6 @@
 //! socket front end and an in-process caller building from the same
 //! [`tracto_proto::JobSpec`] run byte-for-byte identical jobs.
 
-use crate::job::{EstimateJob, TrackJob};
 use std::sync::Arc;
 use std::time::Duration;
 use tracto::phantom::{datasets, Dataset};
@@ -290,44 +289,6 @@ pub fn modality_from_wire(m: tracto_proto::Modality) -> Modality {
         tracto_proto::Modality::Mcmc => Modality::Mcmc,
         tracto_proto::Modality::Tensorline => Modality::Tensorline,
         tracto_proto::Modality::Analytic => Modality::Analytic,
-    }
-}
-
-impl From<EstimateJob> for JobSpec {
-    fn from(job: EstimateJob) -> Self {
-        JobSpec {
-            dataset: DatasetSource::Loaded(job.dataset),
-            work: Work::Estimate {
-                prior: job.prior,
-                chain: job.chain,
-                seed: job.seed,
-            },
-            deadline: None,
-            priority: Priority::Normal,
-            retry_budget: None,
-            cache: CachePolicy::ReadWrite,
-            tenant: tracto_proto::DEFAULT_TENANT.to_string(),
-            wire: None,
-        }
-    }
-}
-
-impl From<TrackJob> for JobSpec {
-    fn from(job: TrackJob) -> Self {
-        JobSpec {
-            dataset: DatasetSource::Loaded(job.dataset),
-            work: Work::Track {
-                config: job.config,
-                seeds: job.seeds,
-                stop_mask: None,
-            },
-            deadline: job.deadline,
-            priority: Priority::Normal,
-            retry_budget: None,
-            cache: CachePolicy::ReadWrite,
-            tenant: tracto_proto::DEFAULT_TENANT.to_string(),
-            wire: None,
-        }
     }
 }
 

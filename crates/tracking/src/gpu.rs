@@ -159,155 +159,23 @@ struct SampleStream<'a> {
 }
 
 impl<'a> GpuTracker<'a> {
-    /// Execute Algorithm 1 on `gpu`. The device ledger is reset first so
-    /// the report's timing covers exactly this run.
-    pub fn run(&self, gpu: &mut Gpu) -> GpuTrackingReport {
-        gpu.reset();
-        let num_samples = self.samples.num_samples();
-        let n_seeds = self.seeds.len();
-        let budgets = self.strategy.budgets(self.params.max_steps);
-
-        let mut lengths_by_sample = vec![vec![0u32; n_seeds]; num_samples];
-        let mut submission_orders = Vec::with_capacity(num_samples);
-        let mut per_segment_unfinished = Vec::with_capacity(num_samples);
-        let mut connectivity = self
-            .record_visits
-            .then(|| ConnectivityAccumulator::new(self.samples.dims()));
-        let mut total_steps = 0u64;
-        let mut pilot_lengths: Option<Vec<u32>> = None;
-
-        for sample in 0..num_samples {
-            // Copy3DImagesToGPU(): the six parameter fields of this sample.
-            let volume_bytes = sample_volume_bytes(self.samples);
-            let lane_bytes = n_seeds as u64 * LANE_BYTES;
-            gpu.device_alloc(volume_bytes + lane_bytes)
-                .unwrap_or_else(|err| panic!("{err} (shrink the grid or sample count)"));
-            gpu.transfer_to_device(volume_bytes);
-
-            let order: Vec<u32> = match (&self.ordering, &pilot_lengths) {
-                (SeedOrdering::SortedByPilot, Some(pilot)) => {
-                    let mut idx: Vec<u32> = (0..n_seeds as u32).collect();
-                    idx.sort_by_key(|&i| std::cmp::Reverse(pilot[i as usize]));
-                    idx
-                }
-                _ => (0..n_seeds as u32).collect(),
-            };
-
-            let field = SampleFieldView::new(self.samples, sample);
-            let mut lanes: Vec<TrackLane> = order
-                .iter()
-                .map(|&seed_idx| {
-                    let pos = jittered_seed(
-                        self.seeds[seed_idx as usize],
-                        self.run_seed,
-                        sample,
-                        seed_idx as usize,
-                        self.jitter,
-                    );
-                    let dir = initial_direction(&field, pos, self.params.min_fraction)
-                        .unwrap_or(Vec3::ZERO);
-                    let walker = if self.record_visits {
-                        Walker::new_recording(seed_idx, pos, dir)
-                    } else {
-                        Walker::new(seed_idx, pos, dir)
-                    };
-                    let mut lane = TrackLane {
-                        walker,
-                        rng: lane_rng(self.run_seed, sample, seed_idx as usize),
-                    };
-                    if dir == Vec3::ZERO {
-                        // No eligible population at the seed: dead on
-                        // arrival, finishes in the first iteration.
-                        lane.walker.stop = StopReason::NoDirection;
-                    }
-                    lane
-                })
-                .collect();
-
-            // SendStartPointsToGPU().
-            gpu.transfer_to_device(lanes.len() as u64 * LANE_BYTES);
-
-            let kernel = TrackingKernel::new(field, &self.params, self.mask);
-            let mut unfinished_after_segment = Vec::with_capacity(budgets.len());
-
-            for (seg_idx, &budget) in budgets.iter().enumerate() {
-                if lanes.is_empty() {
-                    break;
-                }
-                if seg_idx > 0 {
-                    // Re-upload the compacted start points.
-                    gpu.transfer_to_device(lanes.len() as u64 * LANE_BYTES);
-                }
-                gpu.launch(&kernel, &mut lanes, budget);
-                // ReadEndPointFromGPU().
-                gpu.transfer_to_host(lanes.len() as u64 * LANE_BYTES);
-                // Reduction(): compact, retiring finished lanes.
-                gpu.host_reduction(lanes.len() as u64);
-                let mut still_running = Vec::with_capacity(lanes.len());
-                for lane in lanes.drain(..) {
-                    if lane.walker.alive() {
-                        still_running.push(lane);
-                    } else {
-                        self.retire(
-                            &lane,
-                            sample,
-                            &mut lengths_by_sample,
-                            &mut connectivity,
-                            &mut total_steps,
-                        );
-                    }
-                }
-                lanes = still_running;
-                unfinished_after_segment.push(lanes.len());
-            }
-            // Budgets sum to max_steps, so every walker has terminated.
-            debug_assert!(lanes.is_empty(), "lanes survived the full budget");
-            for lane in lanes.drain(..) {
-                self.retire(
-                    &lane,
-                    sample,
-                    &mut lengths_by_sample,
-                    &mut connectivity,
-                    &mut total_steps,
-                );
-            }
-
-            gpu.device_free(volume_bytes + lane_bytes);
-            if sample == 0 && self.ordering == SeedOrdering::SortedByPilot {
-                pilot_lengths = Some(lengths_by_sample[0].clone());
-            }
-            submission_orders.push(order);
-            per_segment_unfinished.push(unfinished_after_segment);
-        }
-
-        GpuTrackingReport {
-            ledger: *gpu.ledger(),
-            lengths_by_sample,
-            submission_orders,
-            per_segment_unfinished,
-            total_steps,
-            connectivity,
-        }
-    }
-
-    /// Execute Algorithm 1 with `streams` sample volumes in flight at once.
+    /// Execute Algorithm 1 on `gpu` with `streams` sample volumes in flight
+    /// at once. The device ledger is reset first so the report's timing
+    /// covers exactly this run.
     ///
     /// Samples are processed in groups of `streams`, each pinned to its own
     /// stream lane on the device's [`StreamClock`](tracto_gpu_sim::StreamClock):
     /// within a group, segment rounds are issued round-robin so one
     /// sample's lane uploads, readbacks, and CPU compactions hide behind
-    /// another sample's kernels — the Fig. 8 overlap, now on the real
-    /// execution path. Device memory holds at most `streams` sample
-    /// volumes at a time.
+    /// another sample's kernels — the Fig. 8 overlap. Device memory holds
+    /// at most `streams` sample volumes at a time. With one stream every
+    /// charge lands at its stream's ready time, so the clock is the plain
+    /// sequential sum of Algorithm 1.
     ///
-    /// Results are bit-identical to [`run`](Self::run): streams reorder
-    /// *time* only — every walker is stepped by the same code in the same
-    /// per-lane order, and retirement writes are indexed by seed, never
-    /// order-dependent. `streams <= 1` *is* the serialized path.
-    pub fn run_streamed(&self, gpu: &mut Gpu, streams: usize) -> GpuTrackingReport {
-        if streams <= 1 {
-            return self.run(gpu);
-        }
+    /// Results do not depend on `streams`: streams reorder *time* only —
+    /// every walker is stepped by the same code in the same per-lane order,
+    /// and retirement writes are indexed by seed, never order-dependent.
+    pub fn run(&self, gpu: &mut Gpu, streams: usize) -> GpuTrackingReport {
         gpu.reset();
         let num_samples = self.samples.num_samples();
         let n_seeds = self.seeds.len();
@@ -335,7 +203,7 @@ impl<'a> GpuTracker<'a> {
         };
         for chunk in (first_group..num_samples)
             .collect::<Vec<_>>()
-            .chunks(streams)
+            .chunks(streams.max(1))
         {
             groups.push(chunk.to_vec());
         }
@@ -383,6 +251,8 @@ impl<'a> GpuTracker<'a> {
                             rng: lane_rng(self.run_seed, sample, seed_idx as usize),
                         };
                         if dir == Vec3::ZERO {
+                            // No eligible population at the seed: dead on
+                            // arrival, finishes in the first iteration.
                             lane.walker.stop = StopReason::NoDirection;
                         }
                         lane
@@ -420,6 +290,8 @@ impl<'a> GpuTracker<'a> {
                     }
                     gpu.try_launch_on(&st.kernel, &mut st.lanes, budget, st.stream)
                         .expect("launch failed on a device with a fault plan");
+                    // ReadEndPointFromGPU(), then Reduction(): compact,
+                    // retiring finished lanes.
                     gpu.try_transfer_to_host_on(st.lanes.len() as u64 * LANE_BYTES, st.stream)
                         .expect("transfer failed on a device with a fault plan");
                     gpu.host_reduction_on(st.lanes.len() as u64, st.stream);
@@ -446,6 +318,7 @@ impl<'a> GpuTracker<'a> {
             }
 
             for st in in_flight {
+                // Budgets sum to max_steps, so every walker has terminated.
                 debug_assert!(st.lanes.is_empty(), "lanes survived the full budget");
                 gpu.device_free(volume_bytes + n_seeds as u64 * LANE_BYTES);
                 if st.sample == 0 && self.ordering == SeedOrdering::SortedByPilot {
@@ -556,7 +429,7 @@ mod tests {
         let sv = x_samples(dims, 3);
         let seeds = line_seeds(dims);
         let gpu_run =
-            tracker(&sv, seeds.clone(), SegmentationStrategy::paper_b()).run(&mut small_gpu());
+            tracker(&sv, seeds.clone(), SegmentationStrategy::paper_b()).run(&mut small_gpu(), 1);
         let cpu = CpuTracker {
             samples: &sv,
             params: params(),
@@ -587,7 +460,7 @@ mod tests {
             SegmentationStrategy::paper_c(),
         ]
         .into_iter()
-        .map(|s| tracker(&sv, seeds.clone(), s).run(&mut small_gpu()))
+        .map(|s| tracker(&sv, seeds.clone(), s).run(&mut small_gpu(), 1))
         .collect();
         for r in &runs[1..] {
             assert_eq!(r.lengths_by_sample, runs[0].lengths_by_sample);
@@ -600,9 +473,9 @@ mod tests {
         let sv = x_samples(dims, 2);
         let seeds = line_seeds(dims);
         let single =
-            tracker(&sv, seeds.clone(), SegmentationStrategy::Single).run(&mut small_gpu());
-        let every =
-            tracker(&sv, seeds.clone(), SegmentationStrategy::every_step()).run(&mut small_gpu());
+            tracker(&sv, seeds.clone(), SegmentationStrategy::Single).run(&mut small_gpu(), 1);
+        let every = tracker(&sv, seeds.clone(), SegmentationStrategy::every_step())
+            .run(&mut small_gpu(), 1);
         assert!(every.ledger.launches > single.ledger.launches);
         assert!(every.ledger.transfer_s > single.ledger.transfer_s);
         assert!(every.ledger.reduction_s > single.ledger.reduction_s);
@@ -615,7 +488,7 @@ mod tests {
         let dims = Dim3::new(12, 6, 6);
         let sv = x_samples(dims, 1);
         let seeds = line_seeds(dims);
-        let run = tracker(&sv, seeds, SegmentationStrategy::paper_b()).run(&mut small_gpu());
+        let run = tracker(&sv, seeds, SegmentationStrategy::paper_b()).run(&mut small_gpu(), 1);
         let counts = &run.per_segment_unfinished[0];
         for w in counts.windows(2) {
             assert!(
@@ -633,7 +506,7 @@ mod tests {
         let seeds = line_seeds(dims);
         let mut t = tracker(&sv, seeds, SegmentationStrategy::Single);
         t.ordering = SeedOrdering::SortedByPilot;
-        let run = t.run(&mut small_gpu());
+        let run = t.run(&mut small_gpu(), 1);
         // Sample 0 is the pilot: natural order.
         assert_eq!(run.submission_orders[0], (0..12).collect::<Vec<u32>>());
         // Later samples are sorted by descending pilot length.
@@ -654,7 +527,7 @@ mod tests {
         let dims = Dim3::new(8, 6, 6);
         let sv = x_samples(dims, 1);
         let seeds = line_seeds(dims);
-        let run = tracker(&sv, seeds, SegmentationStrategy::Single).run(&mut small_gpu());
+        let run = tracker(&sv, seeds, SegmentationStrategy::Single).run(&mut small_gpu(), 1);
         let loads = run.thread_loads(0);
         assert_eq!(loads, run.lengths_by_sample[0], "natural order is identity");
     }
@@ -670,7 +543,7 @@ mod tests {
         );
         t.record_visits = true;
         t.jitter = 0.0;
-        let run = t.run(&mut small_gpu());
+        let run = t.run(&mut small_gpu(), 1);
         let acc = run.connectivity.unwrap();
         assert_eq!(acc.total_streamlines(), 2);
         assert!(acc.probability(tracto_volume::Ijk::new(5, 2, 2)) > 0.9);
@@ -681,7 +554,7 @@ mod tests {
         let dims = Dim3::new(8, 6, 6);
         let sv = x_samples(dims, 3);
         let run =
-            tracker(&sv, line_seeds(dims), SegmentationStrategy::Single).run(&mut small_gpu());
+            tracker(&sv, line_seeds(dims), SegmentationStrategy::Single).run(&mut small_gpu(), 1);
         let expected_volume_bytes = 3 * sample_volume_bytes(&sv);
         assert!(run.ledger.bytes_h2d >= expected_volume_bytes);
     }
@@ -693,9 +566,9 @@ mod tests {
         let seeds = line_seeds(dims);
         let mut t = tracker(&sv, seeds, SegmentationStrategy::paper_b());
         t.record_visits = true;
-        let serial = t.run(&mut small_gpu());
+        let serial = t.run(&mut small_gpu(), 1);
         for streams in [2usize, 3, 8] {
-            let streamed = t.run_streamed(&mut small_gpu(), streams);
+            let streamed = t.run(&mut small_gpu(), streams);
             assert_eq!(streamed.lengths_by_sample, serial.lengths_by_sample);
             assert_eq!(streamed.total_steps, serial.total_steps);
             assert_eq!(streamed.submission_orders, serial.submission_orders);
@@ -722,8 +595,8 @@ mod tests {
         let t = tracker(&sv, seeds, SegmentationStrategy::paper_b());
         let mut g_serial = small_gpu();
         let mut g_streamed = small_gpu();
-        t.run(&mut g_serial);
-        t.run_streamed(&mut g_streamed, 2);
+        t.run(&mut g_serial, 1);
+        t.run(&mut g_streamed, 2);
         assert!(g_streamed.overlap_saved_s() > 0.0);
         assert!(
             g_streamed.clock_s() < g_serial.clock_s(),
@@ -740,8 +613,8 @@ mod tests {
         let seeds = line_seeds(dims);
         let mut t = tracker(&sv, seeds, SegmentationStrategy::Single);
         t.ordering = SeedOrdering::SortedByPilot;
-        let serial = t.run(&mut small_gpu());
-        let streamed = t.run_streamed(&mut small_gpu(), 3);
+        let serial = t.run(&mut small_gpu(), 1);
+        let streamed = t.run(&mut small_gpu(), 3);
         assert_eq!(streamed.submission_orders, serial.submission_orders);
         assert_eq!(streamed.lengths_by_sample, serial.lengths_by_sample);
     }
@@ -751,7 +624,7 @@ mod tests {
         let dims = Dim3::new(12, 6, 6);
         let sv = x_samples(dims, 1);
         let run =
-            tracker(&sv, line_seeds(dims), SegmentationStrategy::Single).run(&mut small_gpu());
+            tracker(&sv, line_seeds(dims), SegmentationStrategy::Single).run(&mut small_gpu(), 1);
         assert_eq!(
             run.longest(),
             run.lengths_by_sample

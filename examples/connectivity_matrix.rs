@@ -13,7 +13,7 @@
 
 use tracto::prelude::*;
 use tracto::tracking::connectivity::RegionConnectivity;
-use tracto::tracking2::{CpuTracker, RecordMode};
+use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
 
 fn main() {
     let dims = Dim3::new(20, 20, 7);

@@ -15,7 +15,8 @@ use std::io::BufWriter;
 use tracto::prelude::*;
 use tracto::tracking::cluster::quick_bundles;
 use tracto::tracking::export;
-use tracto::tracking2::{CpuTracker, GpuTracker, RecordMode, SeedOrdering};
+use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
+use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
 
 fn main() {
     // Dataset 2 geometry at reduced scale so the example runs in seconds.
@@ -68,7 +69,7 @@ fn main() {
     let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
     let mut gpu_tracker = gpu_tracker;
     gpu_tracker.record_visits = true;
-    let gpu_report = gpu_tracker.run(&mut gpu);
+    let gpu_report = gpu_tracker.run(&mut gpu, 1);
     println!(
         "GPU tracking: {} streamlines/sample × {} samples, longest {} steps, simulated {:.2} s",
         seeds.len(),

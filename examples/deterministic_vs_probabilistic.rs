@@ -9,8 +9,8 @@
 //! ```
 
 use tracto::prelude::*;
+use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
 use tracto::tracking::tensorline::{track_tensorline, TensorField};
-use tracto::tracking2::{CpuTracker, RecordMode};
 
 fn main() {
     // A 90° crossing with realistic noise.

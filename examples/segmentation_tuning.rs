@@ -7,7 +7,7 @@
 //! ```
 
 use tracto::prelude::*;
-use tracto::tracking2::{GpuTracker, SeedOrdering};
+use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
 
 fn main() {
     // A moderate phantom so every strategy runs in a few seconds.
@@ -65,7 +65,7 @@ fn main() {
             record_visits: false,
         };
         let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
-        let report = tracker.run(&mut gpu);
+        let report = tracker.run(&mut gpu, 1);
         let l = report.ledger;
         println!(
             "{:<12} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>8} {:>6.1}%",

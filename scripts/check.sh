@@ -20,4 +20,9 @@ for modality in getter analytic tensorline stop; do
 done
 cargo test -q -p tracto-cli modality
 
+# perfbench is a Cargo workspace of its own, so the workspace commands above
+# never build it; its self-tests also compile it against the repo crates.
+echo "== perfbench self-tests =="
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "all checks passed"

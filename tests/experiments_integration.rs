@@ -5,7 +5,8 @@ use tracto::prelude::*;
 use tracto::stats::ecdf::Ecdf;
 use tracto::stats::expfit::ExponentialFit;
 use tracto::synthetic::samples_from_truth;
-use tracto::tracking2::{CpuTracker, GpuTracker, RecordMode, SeedOrdering};
+use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
+use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
 
 struct Experiment {
     samples: SampleVolumes,
@@ -50,7 +51,7 @@ fn params() -> TrackingParams {
 fn gpu_run(
     exp: &Experiment,
     strategy: SegmentationStrategy,
-) -> tracto::tracking2::GpuTrackingReport {
+) -> tracto::tracking::gpu::GpuTrackingReport {
     GpuTracker {
         samples: &exp.samples,
         params: params(),
@@ -62,7 +63,7 @@ fn gpu_run(
         run_seed: 5,
         record_visits: false,
     }
-    .run(&mut Gpu::new(DeviceConfig::radeon_5870()))
+    .run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1)
 }
 
 #[test]
@@ -164,7 +165,7 @@ fn fig4_shape_sorting_fails_across_samples() {
         run_seed: 5,
         record_visits: false,
     }
-    .run(&mut Gpu::new(DeviceConfig::radeon_5870()));
+    .run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1);
 
     // (a) within the pilot, sorting is smooth; (b) applied to another
     // sample, neighbor variance comes back (Fig. 4c).
@@ -227,7 +228,10 @@ fn table3_shape_mcmc_utilization_and_transfer() {
         PriorConfig::default(),
         ChainConfig::fast_test(),
         9,
-    );
+        1,
+        None,
+    )
+    .unwrap();
     assert!((report.ledger.simd_utilization() - 1.0).abs() < 1e-9);
     assert_eq!(report.ledger.launches, 1);
     // Modeled CPU from the paper's own throughput: 1383 s for 205k voxels ×

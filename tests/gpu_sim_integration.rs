@@ -1,9 +1,8 @@
 //! Device-model integration: the Table IV cost structure on controlled
-//! synthetic loads, schedule traces, and the overlap extension.
+//! synthetic loads, schedule traces, and the Fig. 8 overlap extension.
 
-use tracto::gpu_sim::overlap::{interleave_identical, schedule_streams, SegmentCost};
 use tracto::gpu_sim::schedule::EventKind;
-use tracto::gpu_sim::{DeviceConfig, Gpu, LaneStatus, SimKernel};
+use tracto::gpu_sim::{DeviceConfig, Gpu, LaneStatus, SimKernel, StreamClock};
 use tracto::rng::{dist, HybridTaus};
 use tracto::stats::loadbalance::{charged_iterations, rectangle_model, useful_iterations};
 use tracto::tracking::SegmentationStrategy;
@@ -173,23 +172,35 @@ fn schedule_trace_structure() {
     assert_eq!(ascii.lines().count(), 4);
 }
 
+/// Issue `k` identical streams of `(kernel, host)` segments round-robin by
+/// segment — how a pipelined driver realizes Fig. 8 — with kernels on the
+/// GPU and host work on the CPU.
+fn interleave(segments: &[(f64, f64)], k: usize) -> StreamClock {
+    const GPU: usize = 0;
+    const HOST: usize = 1;
+    let mut clock = StreamClock::new();
+    for &(kernel_s, host_s) in segments {
+        for stream in 0..k {
+            clock.charge(stream, GPU, kernel_s);
+            clock.charge(stream, HOST, host_s);
+        }
+    }
+    clock
+}
+
 #[test]
 fn overlap_extension_saves_on_balanced_streams() {
     // Fig. 8: interleaving two samples overlaps GPU kernels with host
     // reductions.
-    let segments: Vec<SegmentCost> = (0..8)
-        .map(|i| SegmentCost {
-            kernel_s: 0.1 + 0.01 * i as f64,
-            host_s: 0.08,
-        })
-        .collect();
-    let two = interleave_identical(&segments, 2);
-    assert!(two.overlapped_s < two.sequential_s);
-    assert!(two.saving() > 0.2, "saving {:.2}", two.saving());
+    let segments: Vec<(f64, f64)> = (0..8).map(|i| (0.1 + 0.01 * i as f64, 0.08)).collect();
+    let two = interleave(&segments, 2);
+    assert!(two.makespan_s() < two.serial_s());
+    let saving = two.saved_s() / two.serial_s();
+    assert!(saving > 0.2, "saving {saving:.2}");
     // More streams cannot hurt.
-    let four = interleave_identical(&segments, 4);
-    let eff2 = two.overlapped_s / 2.0;
-    let eff4 = four.overlapped_s / 4.0;
+    let four = interleave(&segments, 4);
+    let eff2 = two.makespan_s() / 2.0;
+    let eff4 = four.makespan_s() / 4.0;
     assert!(
         eff4 <= eff2 * 1.05,
         "per-stream time should not degrade: {eff4} vs {eff2}"
@@ -200,20 +211,17 @@ fn overlap_extension_saves_on_balanced_streams() {
 fn overlap_respects_dependency_chains() {
     // A stream with one giant kernel serializes everything behind it on the
     // GPU resource.
-    let a = vec![SegmentCost {
-        kernel_s: 10.0,
-        host_s: 0.1,
-    }];
-    let b = vec![
-        SegmentCost {
-            kernel_s: 0.1,
-            host_s: 0.1
-        };
-        5
-    ];
-    let r = schedule_streams(&[a, b]);
-    assert!(r.overlapped_s >= 10.0, "GPU-bound floor");
-    assert!(r.overlapped_s <= r.sequential_s);
+    let mut clock = StreamClock::new();
+    clock.charge(0, 0, 10.0);
+    clock.charge(0, 1, 0.1);
+    for _ in 0..5 {
+        let kernel = clock.charge(1, 0, 0.1);
+        let host = clock.charge(1, 1, 0.1);
+        assert!(kernel.start_s >= 10.0, "GPU busy with stream 0");
+        assert!(host.start_s >= kernel.end_s, "host waits for its kernel");
+    }
+    assert!(clock.makespan_s() >= 10.0, "GPU-bound floor");
+    assert!(clock.makespan_s() <= clock.serial_s());
 }
 
 #[test]

@@ -152,7 +152,10 @@ fn gpu_mcmc_identical_to_cpu() {
         PriorConfig::default(),
         config,
         123,
-    );
+        1,
+        None,
+    )
+    .unwrap();
     let cpu = VoxelEstimator::new(&ds.acq, &ds.dwi, &mask, PriorConfig::default(), config, 123)
         .run_parallel();
     assert_eq!(gpu_out.samples.f1, cpu.f1);
@@ -231,7 +234,8 @@ fn single_stick_model_matches_gpu_and_misses_crossings() {
     let config = ChainConfig::paper_default();
     let cpu = VoxelEstimator::new(&ds.acq, &ds.dwi, &mask, prior, config, 3).run_parallel();
     let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
-    let gpu_out = tracto::run_mcmc_gpu(&mut gpu, &ds.acq, &ds.dwi, &mask, prior, config, 3);
+    let gpu_out =
+        tracto::run_mcmc_gpu(&mut gpu, &ds.acq, &ds.dwi, &mask, prior, config, 3, 1, None).unwrap();
     assert_eq!(
         cpu.th1, gpu_out.samples.th1,
         "backends agree under N = 1 too"

@@ -5,7 +5,8 @@
 use tracto::prelude::*;
 use tracto::stats::expfit::{semilog_fit, ExponentialFit};
 use tracto::synthetic::samples_from_truth;
-use tracto::tracking2::{CpuTracker, GpuTracker, RecordMode, SeedOrdering};
+use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
+use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
 
 /// A moderately sized workload with strong orientation dispersion: one long
 /// bundle tracked at fine step length. Most seeds sit off-fiber and stop
@@ -111,7 +112,7 @@ fn all_strategies_identical_results_different_costs() {
             record_visits: false,
         };
         let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
-        let report = tracker.run(&mut gpu);
+        let report = tracker.run(&mut gpu, 1);
         match &reference {
             None => reference = Some((report.lengths_by_sample.clone(), report.total_steps)),
             Some((lens, steps)) => {
@@ -145,7 +146,7 @@ fn increasing_interval_beats_both_extremes_at_scale() {
             record_visits: false,
         };
         let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
-        tracker.run(&mut gpu).ledger
+        tracker.run(&mut gpu, 1).ledger
     };
     let every = run(SegmentationStrategy::every_step());
     let single = run(SegmentationStrategy::Single);
@@ -197,7 +198,7 @@ fn cpu_and_gpu_trackers_agree_at_scale() {
         run_seed: 3,
         record_visits: false,
     }
-    .run(&mut Gpu::new(DeviceConfig::radeon_5870()));
+    .run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1);
     assert_eq!(cpu.lengths_by_sample, gpu.lengths_by_sample);
     assert_eq!(cpu.total_steps, gpu.total_steps);
 }
@@ -218,7 +219,7 @@ fn sorted_pilot_does_not_predict_other_samples() {
         run_seed: 3,
         record_visits: false,
     };
-    let report = tracker.run(&mut Gpu::new(DeviceConfig::radeon_5870()));
+    let report = tracker.run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1);
     use tracto::stats::loadbalance::neighbor_mean_abs_diff;
     // Within the pilot sample, its own sorted order is perfectly smooth.
     let pilot = &report.lengths_by_sample[0];
