@@ -1,5 +1,5 @@
 //! Socket front-end scaling: N concurrent clients against one reactor,
-//! push (v2 subscriptions) vs poll (v1-style status loop).
+//! push (event subscriptions) vs poll (a client-side status loop).
 //!
 //! Not in the paper — the serving layer generalizes the paper's single-run
 //! model — but the reactor's claim is concrete: a fixed three-thread front
@@ -42,7 +42,7 @@ fn wire_job() -> tracto_proto::JobSpec {
 enum Mode {
     /// Subscribe and wait for the pushed terminal event.
     Push,
-    /// v1-style fixed-interval `status` polling (1 ms).
+    /// Fixed-interval `status` polling (1 ms).
     Poll,
 }
 
@@ -90,7 +90,7 @@ fn run(clients: usize, mode: Mode) -> RunStats {
                     let t0 = Instant::now();
                     let job = client.submit(wire_job()).unwrap();
                     let state = match mode {
-                        Mode::Push => client.await_job(job, None).unwrap(),
+                        Mode::Push => client.follow_job(job, None, |_| {}).unwrap(),
                         Mode::Poll => loop {
                             match client.status(job).unwrap() {
                                 JobState::Pending => std::thread::sleep(Duration::from_millis(1)),
@@ -159,7 +159,7 @@ fn main() {
     }
     w.line("");
     w.line("The reactor multiplexes every connection onto 3 fixed threads; push");
-    w.line("mode follows v2 subscriptions (zero poll requests, asserted above),");
-    w.line("poll mode replays the v1 client's 1 ms status loop.");
+    w.line("mode follows event subscriptions (zero poll requests, asserted above),");
+    w.line("poll mode replays a client-side 1 ms status loop.");
     w.save();
 }

@@ -20,10 +20,11 @@
 //! the server's `retry_after_ms` hint) are counted, not retried — the
 //! point is to observe the server's overload ladder, not to hide it.
 //!
-//! Completions are timestamped from a second, subscribed connection
-//! (protocol v2 pushed events), so per-job latency is measured at settle
-//! time rather than at whichever moment a sequential await got around to
-//! the job.
+//! Completions are timestamped from a second connection subscribed to
+//! pushed events, so per-job latency is measured at settle time rather
+//! than at whichever moment a sequential await got around to the job.
+//! A peer that does not push events (the fleet coordinator) refuses the
+//! subscription with a typed error, so point loadgen at a member.
 
 use crate::args::ArgMap;
 use std::collections::BTreeMap;
@@ -353,14 +354,9 @@ pub fn run(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
         RemoteService::connect_with_retry(&endpoint, "tracto-loadgen", retries, backoff)?;
     // Second connection, subscribed to all jobs *before* the first submit,
     // so every terminal push is timestamped at settle time.
-    let mut watcher = if submitter.server_version >= 2 {
-        let mut w =
-            RemoteService::connect_with_retry(&endpoint, "tracto-loadgen-watch", retries, backoff)?;
-        w.subscribe(None)?;
-        Some(w)
-    } else {
-        None
-    };
+    let mut watcher =
+        RemoteService::connect_with_retry(&endpoint, "tracto-loadgen-watch", retries, backoff)?;
+    watcher.subscribe(None)?;
     tracer.emit(
         "loadgen.start",
         &[
@@ -425,27 +421,19 @@ pub fn run(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
         // Use the pacing gap to drain pushed completions, so latencies are
         // stamped when events arrive rather than after the whole schedule
         // has been offered (which would inflate slow-rate runs).
-        match &mut watcher {
-            Some(w) => loop {
-                let left = due.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                match w.next_event(Some(left))? {
-                    None => break,
-                    Some(ev) if ev.is_terminal() => {
-                        if let Some(info) = in_flight.remove(&ev.job) {
-                            settle(&ev.state, &info, &mut latencies, Instant::now());
-                        }
+        loop {
+            let left = due.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            match watcher.next_event(Some(left))? {
+                None => break,
+                Some(ev) if ev.is_terminal() => {
+                    if let Some(info) = in_flight.remove(&ev.job) {
+                        settle(&ev.state, &info, &mut latencies, Instant::now());
                     }
-                    Some(_) => {}
                 }
-            },
-            None => {
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
+                Some(_) => {}
             }
         }
         let spec = spec_for(r, args)?;
@@ -485,39 +473,19 @@ pub fn run(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
 
     // Harvest remaining completions: timestamp each terminal push as it lands.
     let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-    match &mut watcher {
-        Some(w) => {
-            while !in_flight.is_empty() {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                match w.next_event(Some(left))? {
-                    None => break,
-                    Some(ev) if ev.is_terminal() => {
-                        if let Some(info) = in_flight.remove(&ev.job) {
-                            settle(&ev.state, &info, &mut latencies, Instant::now());
-                        }
-                    }
-                    Some(_) => {}
-                }
-            }
+    while !in_flight.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
         }
-        None => {
-            // v1 fallback: sequential awaits (latency upper bounds only).
-            let jobs: Vec<u64> = in_flight.keys().copied().collect();
-            for job in jobs {
-                let left = deadline
-                    .saturating_duration_since(Instant::now())
-                    .as_millis() as u64;
-                let state = submitter.await_job(job, Some(left.max(1)))?;
-                if state == JobState::Pending {
-                    break;
-                }
-                if let Some(info) = in_flight.remove(&job) {
-                    settle(&state, &info, &mut latencies, Instant::now());
+        match watcher.next_event(Some(left))? {
+            None => break,
+            Some(ev) if ev.is_terminal() => {
+                if let Some(info) = in_flight.remove(&ev.job) {
+                    settle(&ev.state, &info, &mut latencies, Instant::now());
                 }
             }
+            Some(_) => {}
         }
     }
     let unsettled = in_flight.len() as u64;

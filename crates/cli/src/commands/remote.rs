@@ -4,12 +4,11 @@
 //!
 //! Datasets cross the wire as deterministic phantom recipes, so a remote
 //! submission names `(kind, scale, seed, snr)` and the server materializes
-//! bit-identical volumes on its side — or, since protocol v2, as a content
-//! hash from `tracto upload` (`--volume HASH`), which ships a real stored
-//! dataset to the server once and reuses it by reference.
+//! bit-identical volumes on its side — or as a content hash from
+//! `tracto upload` (`--volume HASH`), which ships a real stored dataset
+//! to the server once and reuses it by reference.
 
 use crate::args::ArgMap;
-use std::time::{Duration, Instant};
 use tracto::loaded::encode_trds;
 use tracto_proto::{
     CachePolicy, ChainSpec, DatasetSpec, Endpoint, JobKind, JobSpec, JobState, Modality, Outcome,
@@ -197,36 +196,6 @@ fn spec_from_args(args: &ArgMap) -> TractoResult<JobSpec> {
     })
 }
 
-/// Subscribe to one job's pushed events and narrate each transition until
-/// the terminal one, whose state is returned. `Pending` means the timeout
-/// elapsed first. Requires a v2 connection.
-fn follow_job(
-    client: &mut RemoteService,
-    job: u64,
-    timeout_ms: Option<u64>,
-) -> TractoResult<JobState> {
-    client.subscribe(Some(job))?;
-    let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    loop {
-        let remaining = match deadline {
-            None => None,
-            Some(d) => {
-                let left = d.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return Ok(JobState::Pending);
-                }
-                Some(left)
-            }
-        };
-        match client.next_event(remaining)? {
-            Some(ev) if ev.job == job && ev.is_terminal() => return Ok(ev.state),
-            Some(ev) if ev.job == job => println!("job {job}: {}", ev.kind),
-            Some(_) => {}
-            None => return Ok(JobState::Pending),
-        }
-    }
-}
-
 /// `tracto submit --connect EP [job flags]`: submit one job, and (unless
 /// `--no-wait`) block until it finishes. With `--follow`, narrate pushed
 /// lifecycle events along the way instead of waiting silently.
@@ -248,11 +217,9 @@ pub fn submit(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
                 .map_err(|_| TractoError::config(format!("--timeout-ms: bad value `{v}`")))
         })
         .transpose()?;
-    let state = if args.switch("follow") && client.server_version >= 2 {
-        follow_job(&mut client, job, timeout_ms)?
+    let state = if args.switch("follow") {
+        client.follow_job(job, timeout_ms, |ev| println!("job {job}: {}", ev.kind))?
     } else {
-        // --follow against a v1 server degrades to a silent await: same
-        // result, no narration to stream.
         client.await_job(job, timeout_ms)?
     };
     if state == JobState::Pending {
@@ -345,30 +312,21 @@ pub fn cancel(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
 }
 
 /// `tracto ping --connect EP`: probe a server's heartbeat. A fleet member
-/// answers with its member name; a pre-v3 server has no ping verb, which
-/// is itself useful information (the connection still proved liveness).
+/// answers with its member name.
 pub fn ping(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
     args.reject_unknown(&with_connect_flags(&[]))?;
     let mut client = connect(args, tracer)?;
-    match client.ping()? {
-        tracto_proto::PingReply::Heartbeat { member } if member.is_empty() => {
-            println!(
-                "server {} v{} is alive (not a named fleet member)",
-                client.server_name, client.server_version
-            );
-        }
-        tracto_proto::PingReply::Heartbeat { member } => {
-            println!(
-                "server {} v{} is alive, fleet member `{member}`",
-                client.server_name, client.server_version
-            );
-        }
-        tracto_proto::PingReply::NoHeartbeat => {
-            println!(
-                "server {} v{} is alive but predates heartbeats (v1, no ping verb)",
-                client.server_name, client.server_version
-            );
-        }
+    let member = client.ping()?;
+    if member.is_empty() {
+        println!(
+            "server {} is alive (not a named fleet member)",
+            client.server_name
+        );
+    } else {
+        println!(
+            "server {} is alive, fleet member `{member}`",
+            client.server_name
+        );
     }
     Ok(())
 }

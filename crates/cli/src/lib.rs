@@ -91,8 +91,8 @@ COMMANDS:
   status     poll a remote job          --connect ENDPOINT --job N
   cancel     cancel a remote job        --connect ENDPOINT --job N
   metrics    print remote service metrics  --connect ENDPOINT
-  ping       probe a server's heartbeat (reports fleet member name;
-             old servers answer \"v1, no heartbeat\")  --connect ENDPOINT
+  ping       probe a server's heartbeat (reports its fleet member
+             name)  --connect ENDPOINT
   fleet-status
              print a coordinator's member table  --connect ENDPOINT
   shutdown   drain and stop a listening server  --connect ENDPOINT

@@ -1,7 +1,6 @@
 //! The remote client: a blocking connection that speaks the protocol and
 //! exposes the same submit/status/cancel/await verbs as the in-process
-//! service, plus the v2 extensions (event subscriptions and chunked
-//! volume uploads) when the server negotiates v2.
+//! service, plus event subscriptions and chunked volume uploads.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind as IoKind, Read, Write};
@@ -14,7 +13,7 @@ use crate::endpoint::Endpoint;
 use crate::frame::{write_frame, FrameBuf};
 use crate::spec::{content_digest, JobSpec};
 use crate::wire::{Event, FleetWire, JobState, MetricsWire, Request, Response};
-use crate::{PROTOCOL_VERSION, PROTOCOL_VERSION_MIN};
+use crate::{check_version, PROTOCOL_VERSION};
 use tracto_trace::{TractoError, TractoResult};
 
 /// Raw bytes sent per `upload_chunk` (1 MiB — comfortably under
@@ -62,14 +61,12 @@ impl Write for Stream {
 
 /// A connected client. One request is in flight at a time (the protocol is
 /// strict request/response), so methods take `&mut self`. Pushed
-/// [`Event`]s may interleave with responses on a v2 connection; they are
-/// buffered internally and drained by [`next_event`](Self::next_event).
+/// [`Event`]s may interleave with responses; they are buffered internally
+/// and drained by [`next_event`](Self::next_event).
 pub struct RemoteService {
     stream: Stream,
     frames: FrameBuf,
     events: VecDeque<Event>,
-    /// The negotiated protocol version from the handshake.
-    pub server_version: u32,
     /// The server's identification string from the handshake.
     pub server_name: String,
     /// The server's fleet member name from the handshake, when it runs as
@@ -77,45 +74,11 @@ pub struct RemoteService {
     pub server_member: Option<String>,
 }
 
-/// Outcome of a [`RemoteService::ping`] liveness probe. Both variants mean
-/// the peer is up and speaking the protocol; they differ in whether it
-/// understands heartbeats.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PingReply {
-    /// The server answered `pong`; `member` is its fleet name (empty on a
-    /// standalone server).
-    Heartbeat {
-        /// The fleet member name from the pong (possibly empty).
-        member: String,
-    },
-    /// The server is alive but predates the `ping` verb (it answered with
-    /// its in-band `unknown request type` protocol error) — a v1/v2 peer
-    /// with no heartbeat support.
-    NoHeartbeat,
-}
-
 impl RemoteService {
-    /// Connect to `endpoint` and negotiate the protocol version. Offers
-    /// [`PROTOCOL_VERSION`] and accepts whatever the server answers down
-    /// to [`PROTOCOL_VERSION_MIN`]; a pre-negotiation (v1) server that
-    /// *refuses* the offer with its version-mismatch error is retried
-    /// once speaking v1, so old servers keep working — v2-only verbs then
-    /// fail with a typed error instead.
+    /// Connect to `endpoint` and exchange `hello`. The client offers
+    /// [`PROTOCOL_VERSION`]; a server that refuses it, or answers with any
+    /// other version, is a typed protocol error.
     pub fn connect(endpoint: &Endpoint, client_name: &str) -> TractoResult<Self> {
-        match Self::connect_with_version(endpoint, client_name, PROTOCOL_VERSION) {
-            Ok(client) => Ok(client),
-            Err(err) if is_version_refusal(&err) => {
-                Self::connect_with_version(endpoint, client_name, PROTOCOL_VERSION_MIN)
-            }
-            Err(err) => Err(err),
-        }
-    }
-
-    fn connect_with_version(
-        endpoint: &Endpoint,
-        client_name: &str,
-        version: u32,
-    ) -> TractoResult<Self> {
         let stream = match endpoint {
             Endpoint::Unix(path) => Stream::Unix(
                 UnixStream::connect(path)
@@ -130,27 +93,20 @@ impl RemoteService {
             stream,
             frames: FrameBuf::new(),
             events: VecDeque::new(),
-            server_version: 0,
             server_name: String::new(),
             server_member: None,
         };
-        let reply = client.call(&Request::Hello {
-            version,
+        match client.call(&Request::Hello {
+            version: PROTOCOL_VERSION,
             client: client_name.to_string(),
-        })?;
-        match reply {
+        })? {
             Response::Hello {
-                version: server,
-                server: name,
+                version,
+                server,
                 member,
             } => {
-                if server < PROTOCOL_VERSION_MIN || server > version {
-                    return Err(TractoError::protocol(format!(
-                        "server negotiated protocol v{server}, client offered v{version}"
-                    )));
-                }
-                client.server_version = server;
-                client.server_name = name;
+                check_version(version)?;
+                client.server_name = server;
                 client.server_member = member;
                 Ok(client)
             }
@@ -289,19 +245,29 @@ impl RemoteService {
     }
 
     /// Block until the job finishes (or `timeout_ms` elapses) and return
-    /// its state — [`JobState::Pending`] means the timeout hit.
-    ///
-    /// On a v2 connection this subscribes to the job and waits for its
-    /// pushed terminal event — no request sits parked on a server thread
-    /// and no poll loop runs anywhere. Against a v1 server it falls back
-    /// to the blocking `await` request.
+    /// its state — [`JobState::Pending`] means the timeout hit. Sends the
+    /// `await` verb, which every peer answers: a server parks a waiter (no
+    /// thread blocks on it) and the fleet coordinator forwards it across
+    /// takeovers.
     pub fn await_job(&mut self, job: u64, timeout_ms: Option<u64>) -> TractoResult<JobState> {
-        if self.server_version < 2 {
-            return match self.call(&Request::Await { job, timeout_ms })? {
-                Response::Status { state, .. } => Ok(state),
-                other => Err(unexpected("status", &other)),
-            };
+        match self.call(&Request::Await { job, timeout_ms })? {
+            Response::Status { state, .. } => Ok(state),
+            other => Err(unexpected("status", &other)),
         }
+    }
+
+    /// Wait for a job like [`await_job`](Self::await_job), but by
+    /// subscribing to its pushed events: `on_event` sees each non-terminal
+    /// event of the job, and the terminal event's state is returned
+    /// ([`JobState::Pending`] when `timeout_ms` elapses first). No request
+    /// is parked and nothing polls. Needs a peer that pushes events — the
+    /// fleet coordinator refuses the subscription with a typed error.
+    pub fn follow_job(
+        &mut self,
+        job: u64,
+        timeout_ms: Option<u64>,
+        mut on_event: impl FnMut(&Event),
+    ) -> TractoResult<JobState> {
         self.subscribe(Some(job))?;
         let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
         loop {
@@ -317,6 +283,7 @@ impl RemoteService {
             };
             match self.next_event(remaining)? {
                 Some(ev) if ev.job == job && ev.is_terminal() => return Ok(ev.state),
+                Some(ev) if ev.job == job => on_event(&ev),
                 Some(_) => {}
                 None => return Ok(JobState::Pending),
             }
@@ -355,18 +322,11 @@ impl RemoteService {
         }
     }
 
-    /// Liveness probe. Distinguishes a server that answers `pong` (with
-    /// its fleet member name) from an older one that is alive but has no
-    /// heartbeat support — see [`PingReply`]. Transport failures stay
-    /// typed Io errors, so callers can tell "down" from "old".
-    pub fn ping(&mut self) -> TractoResult<PingReply> {
+    /// Liveness probe: returns the peer's fleet member name (empty on a
+    /// standalone server). Transport failures stay typed Io errors.
+    pub fn ping(&mut self) -> TractoResult<String> {
         match self.call(&Request::Ping)? {
-            Response::Pong { member } => Ok(PingReply::Heartbeat { member }),
-            Response::Error { kind, message }
-                if kind == "protocol" && message.contains("unknown request type") =>
-            {
-                Ok(PingReply::NoHeartbeat)
-            }
+            Response::Pong { member } => Ok(member),
             other => Err(unexpected("pong", &other)),
         }
     }
@@ -423,22 +383,10 @@ impl RemoteService {
         }
     }
 
-    fn require_v2(&self, what: &str) -> TractoResult<()> {
-        if self.server_version >= 2 {
-            Ok(())
-        } else {
-            Err(TractoError::protocol(format!(
-                "{what} requires protocol v2; server `{}` speaks v{}",
-                self.server_name, self.server_version
-            )))
-        }
-    }
-
     /// Subscribe this connection to pushed job events: one job's, or all
-    /// jobs' when `job` is `None` (v2 only). Subscribing to a job that is
+    /// jobs' when `job` is `None`. Subscribing to a job that is
     /// already terminal pushes its terminal event immediately.
     pub fn subscribe(&mut self, job: Option<u64>) -> TractoResult<()> {
-        self.require_v2("subscribe")?;
         match self.call(&Request::Subscribe { job })? {
             Response::Subscribed { .. } => Ok(()),
             other => Err(unexpected("subscribed", &other)),
@@ -501,13 +449,12 @@ impl RemoteService {
         }
     }
 
-    /// Upload a volume blob in chunks (v2 only), returning its 16-hex
+    /// Upload a volume blob in chunks, returning its 16-hex
     /// content hash for use in
     /// [`DatasetSpec::uploaded`](crate::DatasetSpec::uploaded). Resumes
     /// from the server's staged offset and skips entirely when the server
     /// already holds the committed blob.
     pub fn upload(&mut self, bytes: &[u8]) -> TractoResult<String> {
-        self.require_v2("upload")?;
         let hash = format!("{:016x}", content_digest(bytes));
         let offset = match self.call(&Request::UploadBegin {
             hash: hash.clone(),
@@ -555,15 +502,6 @@ fn jittered(wait: Duration, salt: &mut u64) -> Duration {
     *salt ^= *salt << 17;
     let unit = (*salt >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
     wait.mul_f64(0.75 + 0.5 * unit)
-}
-
-/// Whether `err` is a v1 server's refusal of a newer `hello` — the signal
-/// to reconnect speaking v1.
-fn is_version_refusal(err: &TractoError) -> bool {
-    err.kind() == tracto_trace::ErrorKind::Protocol && {
-        let text = err.to_string();
-        text.contains("version") && text.contains("mismatch")
-    }
 }
 
 /// Map a reply that wasn't the expected variant to a typed error. Server
@@ -655,22 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn ping_reply_distinguishes_old_servers() {
-        // The client-side half of the "v1, no heartbeat" contract: the
-        // in-band error an old server sends for an unknown verb is a
-        // liveness signal, not a failure.
-        let old = Response::Error {
-            kind: "protocol".into(),
-            message: "unknown request type `ping`".into(),
-        };
-        match old {
-            Response::Error { kind, message }
-                if kind == "protocol" && message.contains("unknown request type") => {}
-            other => panic!("wording drifted: {other:?}"),
-        }
-    }
-
-    #[test]
     fn connect_with_zero_retries_fails_fast() {
         let endpoint = Endpoint::Unix("/nonexistent/tracto-retry-test.sock".into());
         let start = Instant::now();
@@ -716,25 +638,5 @@ mod tests {
         assert_eq!(capacity_retry_after(&odd), None);
         // Non-capacity errors never produce a hint.
         assert_eq!(capacity_retry_after(&TractoError::Deadline), None);
-    }
-
-    #[test]
-    fn version_refusal_detection_matches_the_v1_server_wording() {
-        // The exact phrasing a v1 server sends back for a v2 hello.
-        let refusal = unexpected(
-            "hello",
-            &Response::Error {
-                kind: "protocol".into(),
-                message: "protocol version mismatch: server speaks 1, client sent 2".into(),
-            },
-        );
-        assert!(is_version_refusal(&refusal));
-        let other = TractoError::protocol("server closed the connection before responding");
-        assert!(!is_version_refusal(&other));
-        let io = TractoError::io(
-            "connect",
-            std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "no"),
-        );
-        assert!(!is_version_refusal(&io));
     }
 }

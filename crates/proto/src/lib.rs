@@ -18,16 +18,16 @@
 //!
 //! # Compatibility policy
 //!
-//! The version is a single integer, bumped on any change a v_n peer could
-//! misread: renamed/removed fields, re-typed fields, or changed framing.
-//! Since v2 the handshake *negotiates*: the server answers `hello` with
-//! `min(client_version, PROTOCOL_VERSION)` and both sides speak that
-//! version for the rest of the connection, so a v1 client keeps working
-//! against a v2 server unchanged. A v1 server still answers a v2 `hello`
-//! with an `error` frame and closes; [`RemoteService::connect`] catches
-//! that refusal and reconnects speaking v1, gating v2-only verbs
-//! (subscriptions, uploads) on the negotiated `server_version`. A `hello`
-//! below [`PROTOCOL_VERSION_MIN`] is refused outright.
+//! There is one protocol version, [`PROTOCOL_VERSION`], bumped on any
+//! change a peer could misread: renamed/removed fields, re-typed fields,
+//! or changed framing. Every producer and consumer of the wire lives in
+//! this workspace, so nothing negotiates: a `hello` carrying any other
+//! version is answered with a typed `protocol` error and the connection
+//! closes ([`check_version`] is that rule, shared by the server, the fleet
+//! coordinator and the client). Additive fields with defaults do not bump
+//! the version. Peers differ only in capability: the fleet coordinator
+//! forwards `await` across takeovers but does not push events or take
+//! uploads, and says so with a typed in-band error.
 //!
 //! The crate is std-only: JSON encode/decode reuses `tracto-trace`'s
 //! hand-rolled writer/parser, so nothing new is pulled into the workspace.
@@ -43,7 +43,7 @@ mod json_util;
 pub mod spec;
 pub mod wire;
 
-pub use client::{capacity_retry_after, PingReply, RemoteService};
+pub use client::{capacity_retry_after, RemoteService};
 pub use endpoint::Endpoint;
 pub use frame::{read_frame, write_frame, FrameBuf, MAX_FRAME_BYTES};
 pub use spec::{
@@ -55,19 +55,22 @@ pub use wire::{
     UPLOAD_CHUNK_MAX,
 };
 
-/// The newest protocol version this build speaks; the client offers it in
-/// `hello` and the server negotiates down to `min(client, server)` (see
+/// The protocol version this build speaks — the only one it accepts (see
 /// the compatibility policy in the crate docs).
 ///
-/// v3 adds the fleet verbs (`ping`, `replicate`, `takeover`,
+/// v3 added the fleet verbs (`ping`, `replicate`, `takeover`,
 /// `fleet_status`, `route`) and the optional `member` identity in the
-/// server's `hello`. The fleet verbs are deliberately *not* gated on the
-/// negotiated version: a server that knows them answers them on any
-/// negotiated version, and a server that predates them answers with its
-/// usual in-band `unknown request type` protocol error — which callers
-/// like `tracto ping` surface as "no heartbeat support" rather than a
-/// transport failure.
+/// server's `hello`.
 pub const PROTOCOL_VERSION: u32 = 3;
 
-/// The oldest version either side will still negotiate down to.
-pub const PROTOCOL_VERSION_MIN: u32 = 1;
+/// The handshake rule every peer applies to the other side's version:
+/// exactly [`PROTOCOL_VERSION`], or a typed protocol error naming both.
+pub fn check_version(version: u32) -> tracto_trace::TractoResult<()> {
+    if version == PROTOCOL_VERSION {
+        Ok(())
+    } else {
+        Err(tracto_trace::TractoError::protocol(format!(
+            "version mismatch: this peer speaks {PROTOCOL_VERSION}, the other sent {version}"
+        )))
+    }
+}

@@ -83,8 +83,8 @@ impl CachePolicy {
 }
 
 /// The tracking modality a job requests — which direction getter drives
-/// Step 2. Absent on the wire for the default (`mcmc`), so v1–v3 peers and
-/// their byte-identical encodings are untouched.
+/// Step 2. Absent on the wire for the default (`mcmc`), so encodings of
+/// default jobs are byte-identical to those without the field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Modality {
     /// Posterior-sample streamlining (the paper's pipeline; the default).
@@ -122,7 +122,7 @@ impl Modality {
 /// A dataset reference that crosses the wire: either a deterministic
 /// phantom recipe (`(kind, scale, seed, snr)` fully determine the
 /// generated volumes, so the recipe doubles as a memoization key
-/// server-side) or, since protocol v2, a pointer to a previously uploaded
+/// server-side) or a pointer to a previously uploaded
 /// volume blob (`kind = "upload"`, content hash in `upload`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
@@ -137,7 +137,7 @@ pub struct DatasetSpec {
     /// for uploads).
     pub snr: Option<f64>,
     /// Content hash (16 hex digits) of an uploaded volume blob; set if
-    /// and only if `kind == "upload"`. v1 peers never see this field.
+    /// and only if `kind == "upload"`.
     pub upload: Option<String>,
 }
 
@@ -153,7 +153,7 @@ impl DatasetSpec {
         }
     }
 
-    /// A reference to an uploaded volume blob by content hash (v2 only).
+    /// A reference to an uploaded volume blob by content hash.
     pub fn uploaded(hash: impl Into<String>) -> Self {
         DatasetSpec {
             kind: "upload".into(),
@@ -184,8 +184,7 @@ impl DatasetSpec {
             Some(snr) => w.f64_field("snr", snr),
             None => w.null_field("snr"),
         }
-        // Only uploads carry the hash, so v1 specs encode byte-identically
-        // to what a v1 peer would produce.
+        // Only uploads carry the hash, so recipe specs encode without it.
         if let Some(hash) = &self.upload {
             w.str_field("upload", hash);
         }
@@ -216,8 +215,7 @@ impl DatasetSpec {
     }
 }
 
-/// The MCMC schedule knobs carried on the wire (protocol v1 exposes the
-/// same knobs as the `serve` script; the adaptation scheme is always the
+/// The MCMC schedule knobs carried on the wire (the same knobs as the `serve` script; the adaptation scheme is always the
 /// paper default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainSpec {
@@ -291,16 +289,16 @@ pub struct JobSpec {
     /// Sample-cache interaction.
     pub cache: CachePolicy,
     /// Which direction getter drives Step 2. Additive and optional on the
-    /// wire (absent means the default), so v1–v3 peers are untouched and
-    /// no protocol version bump is needed.
+    /// wire (absent means the default), so no protocol version bump is
+    /// needed.
     pub modality: Modality,
     /// Optional stop-mask threshold: a percentile (0–100) of the dataset's
     /// mean-DWI volume. The server derives the stop mask from the
     /// materialized dataset, so only the scalar crosses the wire.
     pub stop_percentile: Option<f64>,
     /// Accounting tenant for rate limits and fair admission. Additive and
-    /// optional on the wire (absent means [`DEFAULT_TENANT`]), so v1–v3
-    /// peers are untouched and no protocol version bump is needed.
+    /// optional on the wire (absent means [`DEFAULT_TENANT`]), so no
+    /// protocol version bump is needed.
     pub tenant: String,
 }
 

@@ -55,7 +55,7 @@ pub enum Request {
     Drain,
     /// Ask the serving process to drain and exit.
     Shutdown,
-    /// (v2) Subscribe this connection to pushed [`Response::Event`]s:
+    /// Subscribe this connection to pushed [`Response::Event`]s:
     /// every job's lifecycle transitions, or one job's. Answered with
     /// [`Response::Subscribed`]; if the named job is already terminal its
     /// terminal event is pushed immediately after, so subscribing after
@@ -64,7 +64,7 @@ pub enum Request {
         /// Restrict the subscription to one job id; `None` streams all.
         job: Option<u64>,
     },
-    /// (v2) Open (or resume) a chunked volume upload. Answered with
+    /// Open (or resume) a chunked volume upload. Answered with
     /// [`Response::UploadReady`] carrying the offset to continue from.
     UploadBegin {
         /// FNV-1a content hash of the complete blob, 16 hex digits.
@@ -72,7 +72,7 @@ pub enum Request {
         /// Total blob length in bytes.
         len: u64,
     },
-    /// (v2) Append one chunk to an open upload; answered with
+    /// Append one chunk to an open upload; answered with
     /// [`Response::UploadAck`].
     UploadChunk {
         /// Hash from [`Request::UploadBegin`].
@@ -82,19 +82,16 @@ pub enum Request {
         /// Base64-encoded chunk bytes, at most [`UPLOAD_CHUNK_MAX`] raw.
         data: String,
     },
-    /// (v2) Verify the staged bytes against the declared hash and publish
+    /// Verify the staged bytes against the declared hash and publish
     /// the blob for job submission; answered with
     /// [`Response::UploadDone`].
     UploadCommit {
         /// Hash from [`Request::UploadBegin`].
         hash: String,
     },
-    /// (v3) Liveness probe; answered with [`Response::Pong`]. Not
-    /// version-gated: a pre-v3 server answers with an in-band
-    /// `unknown request type` protocol error, which is itself a liveness
-    /// signal — the peer is up but has no heartbeat support.
+    /// Liveness probe; answered with [`Response::Pong`] by every peer.
     Ping,
-    /// (v3) Append replicated job-journal records to this host's replica
+    /// Append replicated job-journal records to this host's replica
     /// of `source`'s journal; answered with [`Response::ReplAck`].
     /// Records are raw journal lines streamed in order: `first_seq` names
     /// the sequence number of `records[0]`, and a gap (a `first_seq`
@@ -110,17 +107,17 @@ pub enum Request {
         /// Raw journal lines, in append order.
         records: Vec<String>,
     },
-    /// (v3) Declare `source` dead: replay its replicated journal and
+    /// Declare `source` dead: replay its replicated journal and
     /// re-enqueue its unfinished jobs on this host; answered with
     /// [`Response::TookOver`].
     Takeover {
         /// The dead member whose replica to adopt.
         source: String,
     },
-    /// (v3) Fleet topology snapshot (answered by a coordinator); answered
+    /// Fleet topology snapshot (answered by a coordinator); answered
     /// with [`Response::Fleet`].
     FleetStatus,
-    /// (v3) Ask a coordinator which member the spec's placement hash
+    /// Ask a coordinator which member the spec's placement hash
     /// routes to, without submitting; answered with [`Response::Routed`].
     Route(Box<JobSpec>),
 }
@@ -134,7 +131,7 @@ pub enum Response {
         version: u32,
         /// Free-form server identification.
         server: String,
-        /// (v3) The server's fleet member name, when it runs with one
+        /// The server's fleet member name, when it runs with one
         /// (`serve --member`). Absent on the wire before v3 and on
         /// standalone servers; decoding tolerates both.
         member: Option<String>,
@@ -172,17 +169,17 @@ pub enum Response {
         /// Human-readable detail.
         message: String,
     },
-    /// (v2) The subscription is active.
+    /// The subscription is active.
     Subscribed {
         /// The job filter that was installed (`None` = all jobs).
         job: Option<u64>,
     },
-    /// (v2) A pushed job-lifecycle event. Unlike every other response this
+    /// A pushed job-lifecycle event. Unlike every other response this
     /// one is *unsolicited*: it may arrive between a request and its
     /// response, and clients must buffer it (see
     /// [`RemoteService::next_event`](crate::RemoteService::next_event)).
     Event(Event),
-    /// (v2) Upload opened; continue from `offset` (`complete` means the
+    /// Upload opened; continue from `offset` (`complete` means the
     /// blob was already committed under this hash — nothing to send).
     UploadReady {
         /// Bytes already staged (or the full length when `complete`).
@@ -190,39 +187,39 @@ pub enum Response {
         /// The hash is already committed; skip straight to submission.
         complete: bool,
     },
-    /// (v2) Chunk accepted.
+    /// Chunk accepted.
     UploadAck {
         /// Total bytes staged after this chunk.
         received: u64,
     },
-    /// (v2) Upload verified and committed.
+    /// Upload verified and committed.
     UploadDone {
         /// The committed content hash.
         hash: String,
         /// Total blob length.
         bytes: u64,
     },
-    /// (v3) Liveness probe answer.
+    /// Liveness probe answer.
     Pong {
         /// The answering host's fleet member name (empty when it has
         /// none).
         member: String,
     },
-    /// (v3) Replicated records were durably appended.
+    /// Replicated records were durably appended.
     ReplAck {
         /// The next sequence number the replica expects (replica length).
         next: u64,
     },
-    /// (v3) Takeover finished: the replica was replayed and its
+    /// Takeover finished: the replica was replayed and its
     /// unfinished jobs re-enqueued on the answering host.
     TookOver {
         /// `(original_id, adopted_id)` pairs for every re-enqueued job;
         /// the coordinator uses them to remap live bindings.
         jobs: Vec<(u64, u64)>,
     },
-    /// (v3) Fleet topology snapshot.
+    /// Fleet topology snapshot.
     Fleet(Box<FleetWire>),
-    /// (v3) Where a spec's placement hash routes.
+    /// Where a spec's placement hash routes.
     Routed {
         /// The member name the consistent hash selects.
         member: String,
@@ -282,7 +279,7 @@ impl std::fmt::Display for FleetWire {
     }
 }
 
-/// A pushed job-lifecycle transition (protocol v2). `kind` is one of
+/// A pushed job-lifecycle transition. `kind` is one of
 /// `admitted` | `checkpointed` | `completed` | `cancelled` | `failed`; the
 /// last three are terminal and carry the job's final [`JobState`], so a
 /// subscriber needs no follow-up `status` poll.

@@ -1,4 +1,4 @@
-//! The job-event bus: how lifecycle transitions reach v2 subscribers.
+//! The job-event bus: how lifecycle transitions reach subscribers.
 //!
 //! The service publishes an [`Event`] at each transition the journal
 //! already records — `admitted`, `checkpointed`, and the terminal

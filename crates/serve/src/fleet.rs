@@ -16,8 +16,8 @@
 //!   member, so its warm sample cache keeps paying; a member's death
 //!   moves only its arc of the ring to the successors.
 //! - **[`Fleet`]** — a thin coordinator. Clients connect to it exactly as
-//!   they would to a single server (it negotiates protocol v1, so
-//!   `submit`/`await`/`status`/`cancel` work unchanged); it routes each
+//!   they would to a single server (`submit`/`await`/`status`/`cancel`
+//!   work unchanged; it pushes no events and takes no uploads); it routes each
 //!   job by placement key, remembers `fleet id → (member, member job id,
 //!   spec)`, and monitors members with `ping` heartbeats. When a member
 //!   misses enough heartbeats it is declared dead: the coordinator tells
@@ -42,8 +42,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracto_proto::{
-    placement_key, write_frame, Endpoint, FleetWire, FrameBuf, JobState, MemberWire, MetricsWire,
-    RemoteService, Request, Response, PROTOCOL_VERSION_MIN,
+    check_version, placement_key, write_frame, Endpoint, FleetWire, FrameBuf, JobState, MemberWire,
+    MetricsWire, RemoteService, Request, Response, PROTOCOL_VERSION,
 };
 use tracto_trace::{Tracer, TractoError, TractoResult, Value};
 
@@ -731,24 +731,15 @@ fn handle_frame(
         }
     };
     if let Request::Hello { version, .. } = request {
-        if version < PROTOCOL_VERSION_MIN {
-            let _ = send(
-                stream,
-                &protocol_error(&format!(
-                    "protocol version mismatch: coordinator speaks 1 (min \
-                     {PROTOCOL_VERSION_MIN}), client sent {version}"
-                )),
-            );
+        if let Err(e) = check_version(version) {
+            let _ = send(stream, &error_response(&e));
             return false;
         }
         *hello_done = true;
-        // The coordinator always negotiates v1: awaits must flow through
-        // it as forwardable requests (so they survive a takeover remap),
-        // not as per-member event subscriptions held by the client.
         return send(
             stream,
             &Response::Hello {
-                version: PROTOCOL_VERSION_MIN,
+                version: PROTOCOL_VERSION,
                 server: "tracto-fleet".into(),
                 member: None,
             },
@@ -833,8 +824,8 @@ fn handle_frame(
         | Request::UploadCommit { .. } => send(
             stream,
             &protocol_error(
-                "the fleet coordinator speaks v1: connect to a member directly for \
-                 subscriptions and uploads",
+                "the fleet coordinator does not push events or take uploads: \
+                 connect to a member",
             ),
         ),
         Request::Replicate { .. } | Request::Takeover { .. } => send(
@@ -1112,8 +1103,7 @@ fn fleet_wire(shared: &FleetShared) -> FleetWire {
 
 /// Probe a member's liveness on a dedicated throwaway connection, so a
 /// data connection busy forwarding a long `await` slice never masks (or
-/// delays) death detection. `NoHeartbeat` still proves liveness — an old
-/// server that answers anything at all is up.
+/// delays) death detection.
 fn probe(endpoint: &Endpoint) -> TractoResult<()> {
     let mut conn = RemoteService::connect(endpoint, "tracto-fleet-hb")?;
     conn.ping().map(|_| ())

@@ -1,10 +1,10 @@
 //! The socket front end: binds the endpoint, owns shared server state,
 //! and hosts the connection [`reactor`](crate::reactor).
 //!
-//! Since protocol v2 the front end is event-driven: instead of one
-//! blocking handler thread per connection, a single nonblocking IO
-//! thread multiplexes every client (plus a small fixed worker pool for
-//! the one verb that blocks, `drain`). This file keeps the pieces that
+//! The front end is event-driven: instead of one blocking handler
+//! thread per connection, a single nonblocking IO thread multiplexes
+//! every client (plus a small fixed worker pool for the one verb that
+//! blocks, `drain`). This file keeps the pieces that
 //! are about the *endpoint* rather than the connections: the stale-
 //! socket replacement dance at bind, the public [`SocketServer`] API,
 //! and teardown — stop raises a flag, the reactor closes every live
@@ -164,9 +164,9 @@ pub(crate) struct ServerState {
     pub(crate) jobs: Mutex<HashMap<u64, Ticket<JobOutput>>>,
     pub(crate) next_conn: AtomicU64,
     pub(crate) remote_jobs: AtomicU64,
-    /// `status` + `await` requests served — the requests v2 subscriptions
-    /// make unnecessary. The soak test asserts this stays at zero when
-    /// every client follows pushed events.
+    /// `status` + `await` requests served — the requests event
+    /// subscriptions make unnecessary. The soak test asserts this stays
+    /// at zero when every client follows pushed events.
     pub(crate) polls: AtomicU64,
     pub(crate) stop: AtomicBool,
     pub(crate) shutdown_requested: Mutex<bool>,
@@ -275,8 +275,8 @@ impl SocketServer {
         self.state.remote_jobs.load(Ordering::Relaxed)
     }
 
-    /// `status` and `await` requests served since bind. A fleet of v2
-    /// clients following pushed events keeps this at zero.
+    /// `status` and `await` requests served since bind. Clients that
+    /// follow pushed events keep this at zero.
     pub fn poll_requests(&self) -> u64 {
         self.state.polls.load(Ordering::Relaxed)
     }

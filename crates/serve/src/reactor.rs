@@ -1,11 +1,10 @@
 //! The connection reactor: every socket client multiplexed onto one
 //! event-driven IO thread plus a small fixed worker pool.
 //!
-//! The v1 front end spawned a blocking handler thread per connection,
-//! which caps concurrency at the thread budget and makes pushed events
-//! impossible (a handler blocked in `read` cannot write). The reactor
-//! inverts this: all connections are nonblocking and one IO thread scans
-//! them in a readiness loop —
+//! A blocking handler thread per connection would cap concurrency at the
+//! thread budget and make pushed events impossible (a handler blocked in
+//! `read` cannot write). The reactor inverts this: all connections are
+//! nonblocking and one IO thread scans them in a readiness loop —
 //!
 //! - **read**: bytes accumulate in a per-connection [`FrameBuf`], which
 //!   yields complete frames regardless of how the kernel sliced them;
@@ -42,8 +41,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracto_proto::{
-    b64, write_frame, Event, FrameBuf, JobState, Request, Response, PROTOCOL_VERSION,
-    PROTOCOL_VERSION_MIN,
+    b64, check_version, write_frame, Event, FrameBuf, JobState, Request, Response, PROTOCOL_VERSION,
 };
 use tracto_trace::{TractoError, TractoResult};
 
@@ -129,8 +127,8 @@ struct Conn {
     outbox: Vec<u8>,
     /// Bytes of `outbox` already written to the socket.
     out_pos: usize,
-    /// Negotiated protocol version; `None` until `hello` succeeds.
-    version: Option<u32>,
+    /// Set once `hello` succeeds.
+    hello_done: bool,
     /// A dispatched `drain` or parked `await` owns the response slot: no
     /// further frames are interpreted until it answers.
     busy: bool,
@@ -151,7 +149,7 @@ impl Conn {
             inbox: FrameBuf::new(),
             outbox: Vec::new(),
             out_pos: 0,
-            version: None,
+            hello_done: false,
             busy: false,
             sub_all: false,
             sub_jobs: HashSet::new(),
@@ -254,7 +252,7 @@ impl Io {
                 std::thread::sleep(IDLE_SLEEP);
             }
         }
-        // Stop: answer parked awaits with `pending` (v1 semantics), give
+        // Stop: answer parked awaits with `pending` (as on a timeout), give
         // farewell frames a bounded chance to land, then close everything.
         self.sweep_waiters(true);
         for conn in self.conns.values_mut() {
@@ -429,9 +427,8 @@ impl Io {
         let request = match Request::decode(payload) {
             Ok(req) => req,
             Err(e) => {
-                let hello_done = self.conns.get(&cid).is_some_and(|c| c.version.is_some());
                 if let Some(conn) = self.conns.get_mut(&cid) {
-                    if hello_done {
+                    if conn.hello_done {
                         // Decode failures leave frame sync intact —
                         // answer and carry on.
                         conn.queue(&Response::Error {
@@ -452,25 +449,13 @@ impl Io {
         let Some(conn) = self.conns.get_mut(&cid) else {
             return;
         };
-        if conn.version.is_none() {
+        if !conn.hello_done {
             conn.queue(&Response::Error {
                 kind: "protocol".into(),
                 message: "first request must be `hello`".into(),
             });
             conn.closing = true;
             return;
-        }
-        if let Some(verb) = v2_only(&request) {
-            let v = conn.version.unwrap_or(PROTOCOL_VERSION_MIN);
-            if v < 2 {
-                conn.queue(&Response::Error {
-                    kind: "protocol".into(),
-                    message: format!(
-                        "`{verb}` requires protocol v2; this connection negotiated v{v}"
-                    ),
-                });
-                return;
-            }
         }
         self.dispatch(cid, request);
     }
@@ -480,36 +465,25 @@ impl Io {
         let Some(conn) = self.conns.get_mut(&cid) else {
             return;
         };
-        if version < PROTOCOL_VERSION_MIN {
-            conn.queue(&Response::Error {
-                kind: "protocol".into(),
-                message: format!(
-                    "protocol version mismatch: server speaks {PROTOCOL_VERSION} \
-                     (min {PROTOCOL_VERSION_MIN}), client sent {version}"
-                ),
-            });
+        if let Err(e) = check_version(version) {
+            conn.queue(&error_response(&e));
             conn.closing = true;
             return;
         }
-        // Negotiate down to the newer side's floor; a repeated hello just
-        // re-answers with what this connection already agreed on.
-        let negotiated = conn
-            .version
-            .unwrap_or_else(|| version.min(PROTOCOL_VERSION));
-        conn.version = Some(negotiated);
+        conn.hello_done = true;
         if tracer.enabled() {
             tracer.emit(
                 "proto.hello",
                 &[
                     ("conn", cid.into()),
                     ("client", client.to_string().into()),
-                    ("version", u64::from(negotiated).into()),
+                    ("version", u64::from(version).into()),
                 ],
             );
         }
         let member = self.state.member.clone();
         conn.queue(&Response::Hello {
-            version: negotiated,
+            version: PROTOCOL_VERSION,
             server: "tracto-serve".into(),
             member,
         });
@@ -805,8 +779,8 @@ impl Io {
 
     /// Resolve parked awaits: completion answers with the final state, a
     /// passed deadline answers `pending`, and at stop (`flush_all`)
-    /// everything left answers `pending` — exactly the v1 timeout
-    /// contract, minus the blocked thread.
+    /// everything left answers `pending` — the `await` timeout contract,
+    /// minus the blocked thread.
     fn sweep_waiters(&mut self, resolve_all: bool) -> bool {
         if self.waiters.is_empty() {
             return false;
@@ -911,16 +885,5 @@ fn error_response(e: &TractoError) -> Response {
     Response::Error {
         kind: e.kind().to_string(),
         message: e.to_string(),
-    }
-}
-
-/// The verb name if this request needs a v2 connection.
-fn v2_only(req: &Request) -> Option<&'static str> {
-    match req {
-        Request::Subscribe { .. } => Some("subscribe"),
-        Request::UploadBegin { .. } => Some("upload_begin"),
-        Request::UploadChunk { .. } => Some("upload_chunk"),
-        Request::UploadCommit { .. } => Some("upload_commit"),
-        _ => None,
     }
 }

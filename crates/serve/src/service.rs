@@ -280,7 +280,7 @@ struct Shared {
     /// Persist a snapshot every N launch segments (0 = off).
     checkpoint_every: u32,
     tracer: Tracer,
-    /// Lifecycle event bus for v2 subscribers; publishes are no-ops until
+    /// Lifecycle event bus for subscribers; publishes are no-ops until
     /// a socket front end attaches.
     bus: Arc<EventBus>,
     /// Committed volume uploads (`<state-dir>/uploads`), resolvable as

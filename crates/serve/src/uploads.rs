@@ -1,4 +1,4 @@
-//! Content-addressed staging for chunked volume uploads (protocol v2).
+//! Content-addressed staging for chunked volume uploads.
 //!
 //! A client uploads a DWI container (a TRDS blob, see `tracto::loaded`)
 //! in three verbs: `upload_begin` declares `(hash, len)`, `upload_chunk`

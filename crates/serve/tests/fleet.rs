@@ -7,8 +7,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracto_proto::{
-    ChainSpec, DatasetSpec, Endpoint, JobKind, JobState, Outcome, PingReply, RemoteService,
-    TrackSpec,
+    read_frame, write_frame, ChainSpec, DatasetSpec, Endpoint, JobKind, JobState, Outcome,
+    RemoteService, Request, Response, TrackSpec, PROTOCOL_VERSION,
 };
 use tracto_serve::{
     replay_text, Fleet, FleetConfig, JobJournal, ReplicaStore, ServiceConfig, SocketServer,
@@ -149,10 +149,7 @@ fn member_adopts_a_replicated_journal_on_takeover() {
         SocketServer::bind(Arc::clone(&service), &Endpoint::Unix(dir.join("b.sock"))).unwrap();
     let mut client = RemoteService::connect(server.endpoint(), "fleet-test").unwrap();
     assert_eq!(client.server_member.as_deref(), Some("standby"));
-    match client.ping().unwrap() {
-        PingReply::Heartbeat { member } => assert_eq!(member, "standby"),
-        PingReply::NoHeartbeat => panic!("v3 server must answer ping"),
-    }
+    assert_eq!(client.ping().unwrap(), "standby");
 
     // Reference digest: the same spec submitted directly.
     let direct = client.submit(wire_job(11)).unwrap();
@@ -257,7 +254,31 @@ fn coordinator_routes_jobs_and_survives_member_death() {
     config.max_misses = 2;
     let fleet = Fleet::bind(config).unwrap();
     let mut client = RemoteService::connect(fleet.endpoint(), "fleet-test").unwrap();
-    assert_eq!(client.server_version, 1, "coordinator always negotiates v1");
+    assert_eq!(client.server_name, "tracto-fleet");
+    assert_eq!(client.ping().unwrap(), "fleet");
+
+    // The coordinator speaks the one protocol version and refuses any
+    // other, exactly like a member.
+    let Endpoint::Unix(path) = fleet.endpoint() else {
+        panic!("fleet binds a unix socket");
+    };
+    for version in [0, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        let mut raw = std::os::unix::net::UnixStream::connect(path).unwrap();
+        let hello = Request::Hello {
+            version,
+            client: "other version".into(),
+        };
+        write_frame(&mut raw, &hello.encode()).unwrap();
+        let reply = read_frame(&mut raw).unwrap().expect("refusal");
+        match Response::decode(&reply).unwrap() {
+            Response::Error { kind, message } => {
+                assert_eq!(kind, "protocol");
+                assert!(message.contains("version mismatch"), "{message}");
+            }
+            other => panic!("v{version} hello must be refused, got {other:?}"),
+        }
+        assert!(read_frame(&mut raw).unwrap().is_none(), "refusal closes");
+    }
 
     // Placement is deterministic: `route` answers the same member every
     // time, and repeat submissions of one spec land on that member.
@@ -274,6 +295,11 @@ fn coordinator_routes_jobs_and_survives_member_death() {
         let job = client.submit(spec.clone()).unwrap();
         digests.push(digest_of(&client.await_job(job, Some(60_000)).unwrap()));
     }
+    // The coordinator pushes no events: following a job through it is a
+    // typed in-band refusal, and the connection carries on.
+    let err = client.follow_job(1, Some(1_000), |_| {}).unwrap_err();
+    assert_eq!(err.kind(), tracto_trace::ErrorKind::Protocol, "{err}");
+    assert!(err.to_string().contains("does not push events"), "{err}");
     let status = client.fleet_status().unwrap();
     assert_eq!(status.jobs_routed, 4);
     assert!(status.members.iter().all(|m| m.alive));

@@ -174,6 +174,12 @@ fn connection_survives_decode_errors() {
     write_frame(&mut stream, r#"{"type":"submit","spec":{"job":"track"}}"#).unwrap();
     expect_error(&mut stream, "protocol");
 
+    // Nesting far past the parser's depth limit (the frame itself is well
+    // under MAX_FRAME_BYTES): a typed error, not a stack overflow.
+    write_frame(&mut stream, &"[".repeat(200_000)).unwrap();
+    let msg = expect_error(&mut stream, "protocol");
+    assert!(msg.contains("nesting"), "{msg}");
+
     // The connection still works after all that.
     write_frame(&mut stream, &Request::Metrics.encode()).unwrap();
     let payload = read_frame(&mut stream).unwrap().expect("metrics reply");
@@ -184,43 +190,23 @@ fn connection_survives_decode_errors() {
 }
 
 #[test]
-fn newer_client_negotiates_down_to_server_version() {
-    // A client from the future is not refused: the server answers with
-    // the highest version it speaks and the connection proceeds there.
-    let fx = Fixture::start("negotiate");
-    let mut stream = fx.raw();
-    let req = Request::Hello {
-        version: PROTOCOL_VERSION + 1,
-        client: "from the future".into(),
-    };
-    write_frame(&mut stream, &req.encode()).unwrap();
-    let payload = read_frame(&mut stream).unwrap().expect("hello reply");
-    match Response::decode(&payload).unwrap() {
-        Response::Hello { version, .. } => assert_eq!(version, PROTOCOL_VERSION),
-        other => panic!("expected negotiated hello, got {other:?}"),
-    }
-    // The negotiated connection works.
-    write_frame(&mut stream, &Request::Metrics.encode()).unwrap();
-    let payload = read_frame(&mut stream).unwrap().expect("metrics reply");
-    assert!(matches!(
-        Response::decode(&payload).unwrap(),
-        Response::Metrics(_)
-    ));
-}
-
-#[test]
 fn version_below_minimum_is_refused_then_closed() {
+    // One version is spoken: older and newer offers alike are refused.
     let fx = Fixture::start("version");
-    let mut stream = fx.raw();
-    let req = Request::Hello {
-        version: 0,
-        client: "from the past".into(),
-    };
-    write_frame(&mut stream, &req.encode()).unwrap();
-    let msg = expect_error(&mut stream, "protocol");
-    assert!(msg.contains("version") && msg.contains("mismatch"), "{msg}");
-    // The server closes after refusing the handshake.
-    assert!(read_frame(&mut stream).unwrap().is_none());
+    for version in [0, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        let mut stream = fx.raw();
+        let req = Request::Hello {
+            version,
+            client: "other version".into(),
+        };
+        write_frame(&mut stream, &req.encode()).unwrap();
+        let msg = expect_error(&mut stream, "protocol");
+        assert!(msg.contains("version") && msg.contains("mismatch"), "{msg}");
+        // The server closes after refusing the handshake.
+        assert!(read_frame(&mut stream).unwrap().is_none(), "v{version}");
+    }
+    // The server itself is unaffected.
+    fx.connect().metrics().unwrap();
 }
 
 #[test]

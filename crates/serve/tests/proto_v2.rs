@@ -1,9 +1,9 @@
-//! Protocol v2 conformance: version negotiation and v1 interop in both
-//! directions, pushed event subscriptions, and the chunked upload path —
-//! including hostile chunks and mid-upload disconnects, which must leave
-//! no staging files behind.
+//! Protocol conformance for pushed event subscriptions and the chunked
+//! upload path — including hostile chunks and mid-upload disconnects,
+//! which must leave no staging files behind. The `hello` refusal rule is
+//! covered by `proto_socket.rs`.
 
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -137,146 +137,6 @@ fn hello_raw(stream: &mut UnixStream, version: u32) -> Response {
 }
 
 // ---------------------------------------------------------------------
-// Version negotiation and v1 interop
-// ---------------------------------------------------------------------
-
-#[test]
-fn v1_client_interoperates_and_v2_verbs_are_gated() {
-    let fx = Fixture::start("v1client");
-    let mut stream = fx.raw();
-
-    // A v1 hello negotiates v1, not the server's newer version.
-    match hello_raw(&mut stream, 1) {
-        Response::Hello { version, .. } => assert_eq!(version, 1),
-        other => panic!("expected hello, got {other:?}"),
-    }
-
-    // The whole v1 verb set works unchanged on the negotiated connection.
-    write_frame(&mut stream, &Request::Submit(Box::new(wire_job())).encode()).unwrap();
-    let payload = read_frame(&mut stream).unwrap().expect("submit reply");
-    let Response::Submitted { job } = Response::decode(&payload).unwrap() else {
-        panic!("expected submitted");
-    };
-    write_frame(
-        &mut stream,
-        &Request::Await {
-            job,
-            timeout_ms: None,
-        }
-        .encode(),
-    )
-    .unwrap();
-    let payload = read_frame(&mut stream).unwrap().expect("await reply");
-    match Response::decode(&payload).unwrap() {
-        Response::Status { state, .. } => {
-            assert!(matches!(state, JobState::Done(_)), "{state:?}")
-        }
-        other => panic!("expected status, got {other:?}"),
-    }
-
-    // v2 verbs on a v1 connection are refused in-band; the connection
-    // survives.
-    for req in [
-        Request::Subscribe { job: None },
-        Request::UploadCommit {
-            hash: "0123456789abcdef".into(),
-        },
-    ] {
-        write_frame(&mut stream, &req.encode()).unwrap();
-        let payload = read_frame(&mut stream).unwrap().expect("error reply");
-        match Response::decode(&payload).unwrap() {
-            Response::Error { kind, message } => {
-                assert_eq!(kind, "protocol");
-                assert!(message.contains("requires protocol v2"), "{message}");
-            }
-            other => panic!("expected error, got {other:?}"),
-        }
-    }
-    write_frame(&mut stream, &Request::Metrics.encode()).unwrap();
-    let payload = read_frame(&mut stream).unwrap().expect("metrics reply");
-    assert!(matches!(
-        Response::decode(&payload).unwrap(),
-        Response::Metrics(_)
-    ));
-}
-
-/// A minimal mock of the *old* v1 server: refuses any hello above 1 with
-/// the historical wording, then serves hello/status to a v1 client.
-fn spawn_mock_v1_server(path: PathBuf) -> std::thread::JoinHandle<()> {
-    let listener = UnixListener::bind(&path).unwrap();
-    std::thread::spawn(move || {
-        // Serve connections until the client side is done (two connects:
-        // the refused v2 attempt, then the v1 retry).
-        for _ in 0..2 {
-            let Ok((mut stream, _)) = listener.accept() else {
-                return;
-            };
-            loop {
-                let Ok(Some(payload)) = read_frame(&mut stream) else {
-                    break;
-                };
-                let Ok(req) = Request::decode(&payload) else {
-                    break;
-                };
-                match req {
-                    Request::Hello { version: 1, .. } => {
-                        let reply = Response::Hello {
-                            version: 1,
-                            server: "mock-v1".into(),
-                            member: None,
-                        };
-                        write_frame(&mut stream, &reply.encode()).unwrap();
-                    }
-                    Request::Hello { version, .. } => {
-                        let reply = Response::Error {
-                            kind: "protocol".into(),
-                            message: format!(
-                                "protocol version mismatch: server speaks 1, client sent {version}"
-                            ),
-                        };
-                        write_frame(&mut stream, &reply.encode()).unwrap();
-                        break; // v1 servers close after refusing
-                    }
-                    Request::Await { job, .. } => {
-                        let reply = Response::Status {
-                            job,
-                            state: JobState::Pending,
-                        };
-                        write_frame(&mut stream, &reply.encode()).unwrap();
-                    }
-                    _ => break,
-                }
-            }
-        }
-    })
-}
-
-#[test]
-fn v2_client_downgrades_against_a_v1_server() {
-    let dir = tmp("v1server");
-    let path = dir.join("mock.sock");
-    let handle = spawn_mock_v1_server(path.clone());
-
-    let mut client = RemoteService::connect(&Endpoint::Unix(path), "downgrader").unwrap();
-    assert_eq!(client.server_version, 1, "client must retry speaking v1");
-    assert_eq!(client.server_name, "mock-v1");
-
-    // await_job falls back to the blocking v1 verb (the mock answers
-    // `pending` immediately).
-    let state = client.await_job(42, Some(50)).unwrap();
-    assert!(matches!(state, JobState::Pending));
-
-    // v2-only verbs are refused client-side with a typed error.
-    let err = client.subscribe(None).unwrap_err();
-    assert_eq!(err.kind(), tracto_trace::ErrorKind::Protocol);
-    assert!(err.to_string().contains("requires protocol v2"), "{err}");
-
-    drop(client);
-    handle.join().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------
 // Subscriptions and pushed events
 // ---------------------------------------------------------------------
 
@@ -284,7 +144,6 @@ fn v2_client_downgrades_against_a_v1_server() {
 fn subscriber_sees_lifecycle_events_without_polling() {
     let fx = Fixture::start("events");
     let mut watcher = fx.connect();
-    assert_eq!(watcher.server_version, PROTOCOL_VERSION);
     watcher.subscribe(None).unwrap();
 
     let mut submitter = fx.connect();
@@ -324,8 +183,7 @@ fn late_subscriber_gets_a_synthetic_terminal_event() {
     let fx = Fixture::start("late");
     let mut client = fx.connect();
     let job = client.submit(wire_job()).unwrap();
-    // await_job on a v2 connection itself rides subscriptions.
-    let state = client.await_job(job, None).unwrap();
+    let state = client.follow_job(job, None, |_| {}).unwrap();
     assert!(matches!(state, JobState::Done(_)), "{state:?}");
 
     // Subscribing after the fact pushes the terminal event immediately —

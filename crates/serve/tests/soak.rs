@@ -1,6 +1,6 @@
 //! Reactor soak: hundreds of concurrent socket clients multiplexed onto
 //! the fixed-size reactor, every job followed to its terminal state via
-//! pushed v2 events — zero `status`/`await` polls server-side — under a
+//! pushed events — zero `status`/`await` polls server-side — under a
 //! seeded chaos schedule (`TRACTO_CHAOS_SEED`, default 1).
 //!
 //! Expensive by design, so it is `#[ignore]`d; CI's `soak` job runs it
@@ -100,10 +100,8 @@ fn hundreds_of_clients_follow_pushed_events_with_zero_polls() {
                 .spawn(move || {
                     let mut client =
                         RemoteService::connect(&endpoint, &format!("soak-{i}")).unwrap();
-                    assert!(client.server_version >= 2, "soak requires v2 pushes");
                     let job = client.submit(wire_job(i as u64)).unwrap();
-                    // await_job on a v2 connection parks on pushed events.
-                    match client.await_job(job, None).unwrap() {
+                    match client.follow_job(job, None, |_| {}).unwrap() {
                         JobState::Done(Outcome::Track { .. }) => {}
                         other => panic!("client {i}: job {job} ended {other:?}"),
                     }

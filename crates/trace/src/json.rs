@@ -119,12 +119,21 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound one frame of `[[[[…` would overflow
+/// the parsing thread's stack. Every document this workspace writes
+/// (wire frames, journal records, the metrics sidecar, trace events) nests
+/// fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document from `input`. Trailing non-whitespace is an
-/// error, so each JSONL line parses independently.
+/// error, so each JSONL line parses independently. Nesting deeper than
+/// [`MAX_DEPTH`] is a `Format` error.
 pub fn parse(input: &str) -> Result<Json, TractoError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -141,6 +150,8 @@ pub fn parse(input: &str) -> Result<Json, TractoError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -172,8 +183,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, TractoError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -184,6 +195,24 @@ impl Parser<'_> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, TractoError>,
+    ) -> Result<Json, TractoError> {
+        if self.depth == MAX_DEPTH {
+            return Err(TractoError::format(format!(
+                "json: nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, TractoError> {
@@ -385,6 +414,22 @@ mod tests {
             }
             other => panic!("expected array, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        // Far past the limit: typed errors, not a stack overflow.
+        for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.to_string().contains("nesting"), "{err}");
+        }
+        // Exactly at the limit parses; one more level does not.
+        let at = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
     }
 
     #[test]

@@ -32,7 +32,6 @@
 //!   `A_MaxStep`, per-step `A_1`, and load-sorted variants (Fig. 4);
 //! * [`gpu`] — Algorithm 1: the segmented tracking loop on the simulated
 //!   GPU, with per-segment compaction and the full timing breakdown;
-//! * [`policy`] — waypoint / exclusion / termination mask constraints;
 //! * [`tensorline`] — the classical deterministic single-tensor baseline;
 //! * [`connectivity`] — visit counting and the connectivity matrix;
 //! * [`export`] — streamline polyline export (CSV) for the biological
@@ -54,7 +53,6 @@ pub mod export;
 pub mod field;
 pub mod getter;
 pub mod gpu;
-pub mod policy;
 pub mod probabilistic;
 pub mod resample;
 pub mod segmentation;

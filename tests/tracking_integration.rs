@@ -303,78 +303,3 @@ fn kissing_bundles_not_confused_with_crossing() {
         "orientation maintenance failed: {stayed_upper} stayed vs {switched_lower} switched"
     );
 }
-
-#[test]
-fn policy_masks_shape_connectivity() {
-    use tracto::tracking::policy::{track_with_policy, TrackingPolicy};
-    use tracto::tracking::SampleFieldView;
-    // Straight bundle; an exclusion wall mid-way must zero out east-side
-    // connectivity while a waypoint selects only streamlines that got far.
-    let ds = tracto::phantom::datasets::single_bundle(Dim3::new(24, 10, 10), None, 4);
-    let samples = samples_from_truth(&ds.truth, 6, 0.06, 0.02, 12);
-    let dims = ds.dwi.dims();
-    let wall = Mask::from_fn(dims, |c| c.i == 14);
-    let far_east = Mask::from_fn(dims, |c| c.i >= 20);
-    let seeds: Vec<Vec3> = (0..6)
-        .map(|k| Vec3::new(2.0, 4.0 + (k % 2) as f64, 4.0 + (k / 2) as f64))
-        .collect();
-
-    let mut reached_with_wall = 0u32;
-    let mut reached_without = 0u32;
-    let mut accepted_by_waypoint = 0u32;
-    for sample in 0..samples.num_samples() {
-        let field = SampleFieldView::new(&samples, sample);
-        for (i, &seed) in seeds.iter().enumerate() {
-            let p = TrackingParams {
-                step_length: 0.25,
-                angular_threshold: 0.8,
-                max_steps: 400,
-                min_fraction: 0.05,
-                interp: InterpMode::Nearest,
-            };
-            let blocked = TrackingPolicy {
-                exclusion: Some(&wall),
-                ..Default::default()
-            };
-            let open = TrackingPolicy::default();
-            let wp = [far_east.clone()];
-            let gated = TrackingPolicy {
-                waypoints: &wp,
-                ..Default::default()
-            };
-            let reach = |o: &tracto::tracking::policy::TrackOutcome| {
-                o.streamline()
-                    .points
-                    .last()
-                    .map(|e| e.x >= 20.0)
-                    .unwrap_or(false)
-            };
-            let run = |pol: &TrackingPolicy| {
-                track_with_policy(&field, i as u32, seed, Vec3::X, &p, pol, true)
-            };
-            let b = run(&blocked);
-            if b.accepted() && reach(&b) {
-                reached_with_wall += 1;
-            }
-            let o = run(&open);
-            if reach(&o) {
-                reached_without += 1;
-            }
-            if run(&gated).accepted() {
-                accepted_by_waypoint += 1;
-            }
-        }
-    }
-    assert_eq!(
-        reached_with_wall, 0,
-        "exclusion wall must block the east side"
-    );
-    assert!(
-        reached_without > 10,
-        "open tracking crosses: {reached_without}"
-    );
-    assert!(
-        accepted_by_waypoint >= reached_without - reached_without.min(2),
-        "waypoint acceptance ≈ open reach count: {accepted_by_waypoint} vs {reached_without}"
-    );
-}
