@@ -27,7 +27,10 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Most jobs merged into one batch.
     pub max_batch_jobs: usize,
-    /// How long the batch worker waits for more jobs after the first.
+    /// Upper bound on how long the batch worker holds a batch open for
+    /// more jobs after the first. The batch runs as soon as no further job
+    /// is expected — none admitted upstream and no recent arrivals — so a
+    /// lone job never waits the window out.
     pub batch_window: Duration,
     /// Segmentation schedule for batched launches. Results are invariant
     /// to this choice (it only shapes timing), so one service-wide
@@ -149,7 +152,11 @@ impl ServiceConfigBuilder {
             "N",
             "max jobs merged into one batch (default 16)",
         ),
-        ("batch-window-ms", "MS", "batching window (default 20)"),
+        (
+            "batch-window-ms",
+            "MS",
+            "longest a batch waits for more jobs (default 20)",
+        ),
         ("strategy", "S", "segmentation: B|C|single|every|uniform:K"),
         (
             "cache-mb",
@@ -233,7 +240,7 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Set the batching window.
+    /// Set the batching window (an upper bound on a batch's hold).
     pub fn batch_window(mut self, window: Duration) -> Self {
         self.config.batch_window = window;
         self

@@ -8,6 +8,10 @@
 //! in-process-only service pays one atomic load per transition and the
 //! queue cannot grow without a consumer.
 //!
+//! Every publish also unparks the reactor's IO thread (registered with
+//! [`set_waker`](EventBus::set_waker)), so a pushed event leaves on the
+//! next scan instead of waiting out the reactor's idle backoff.
+//!
 //! The queue is bounded: if the reactor stalls long enough for
 //! [`BUS_CAP`] events to pile up, the oldest are dropped (counted in
 //! [`dropped`](EventBus::dropped)) rather than growing without bound —
@@ -18,6 +22,7 @@ use crate::job::{JobError, JobOutput};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::thread::Thread;
 use tracto_proto::{Event, JobState, Outcome};
 
 /// Most events held while the reactor is between drains.
@@ -30,6 +35,8 @@ pub(crate) struct EventBus {
     seq: AtomicU64,
     dropped: AtomicU64,
     queue: Mutex<VecDeque<Event>>,
+    /// The thread that drains the queue, unparked on every publish.
+    waker: Mutex<Option<Thread>>,
 }
 
 impl EventBus {
@@ -42,10 +49,24 @@ impl EventBus {
         self.attached.store(true, Ordering::SeqCst);
     }
 
-    /// Stop buffering and discard anything queued.
+    /// Stop buffering, discard anything queued, and forget the waker.
     pub(crate) fn detach(&self) {
         self.attached.store(false, Ordering::SeqCst);
         self.queue.lock().clear();
+        *self.waker.lock() = None;
+    }
+
+    /// Register the thread that drains the bus (the reactor's IO thread).
+    pub(crate) fn set_waker(&self, thread: Thread) {
+        *self.waker.lock() = Some(thread);
+    }
+
+    /// Unpark the draining thread, if one is registered: new work for it
+    /// that is not a socket byte (an event, a worker's answer, a stop).
+    pub(crate) fn wake(&self) {
+        if let Some(thread) = &*self.waker.lock() {
+            thread.unpark();
+        }
     }
 
     /// Whether a front end is consuming events. Callers with a nontrivial
@@ -62,7 +83,7 @@ impl EventBus {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Publish one transition. No-op while detached.
+    /// Publish one transition and wake the drainer. No-op while detached.
     pub(crate) fn publish(&self, job: u64, kind: &str, state: JobState) {
         if !self.attached.load(Ordering::SeqCst) {
             return;
@@ -79,6 +100,8 @@ impl EventBus {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         q.push_back(ev);
+        drop(q);
+        self.wake();
     }
 
     /// Move every queued event into `into` (oldest first).
@@ -194,6 +217,23 @@ mod tests {
         assert_eq!(out.len(), BUS_CAP);
         assert_eq!(bus.dropped(), 3);
         assert_eq!(out[0].job, 3, "oldest three were dropped");
+    }
+
+    #[test]
+    fn publish_unparks_the_registered_waker() {
+        use std::time::{Duration, Instant};
+        let bus = EventBus::new();
+        bus.attach();
+        let parked = std::thread::spawn(|| {
+            let t0 = Instant::now();
+            // An unpark that lands before the park is kept as a token, so
+            // this returns early either way — unless nobody wakes it.
+            std::thread::park_timeout(Duration::from_secs(30));
+            t0.elapsed()
+        });
+        bus.set_waker(parked.thread().clone());
+        bus.publish(1, "admitted", JobState::Pending);
+        assert!(parked.join().unwrap() < Duration::from_secs(10));
     }
 
     #[test]

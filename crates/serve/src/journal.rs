@@ -2,7 +2,8 @@
 //!
 //! Every lifecycle transition of a journalable job is appended — and
 //! fsync'd — to `journal.jsonl` under the service's `--state-dir` *before*
-//! the transition becomes observable to clients. On startup,
+//! the transition becomes observable to clients. The terminal records of
+//! one tracking batch share a single fsync ([`JobJournal::settle`]). On startup,
 //! [`JobJournal::open`] replays the journal: jobs with a `submitted`
 //! record but no terminal record are returned as [`RecoveredJob`]s for the
 //! service to re-enqueue, then the journal is compacted down to exactly
@@ -65,6 +66,32 @@ struct Inner {
     /// dropped receiver is ignored — replication must not slow or wedge
     /// the local write-ahead path.
     mirror: Option<Sender<String>>,
+}
+
+/// How a journaled job ended: the record [`JobJournal::settle`] writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Terminal {
+    /// The job finished successfully.
+    Completed,
+    /// A cancel won the race against the job's work.
+    Cancelled,
+    /// The job failed permanently.
+    Failed {
+        /// Retries spent before giving up.
+        retries: u32,
+    },
+}
+
+impl Terminal {
+    fn record(self, id: u64) -> String {
+        match self {
+            Terminal::Completed => format!("{{\"rec\":\"completed\",\"job\":{id}}}"),
+            Terminal::Cancelled => format!("{{\"rec\":\"cancelled\",\"job\":{id}}}"),
+            Terminal::Failed { retries } => {
+                format!("{{\"rec\":\"failed\",\"job\":{id},\"retries\":{retries}}}")
+            }
+        }
+    }
 }
 
 /// An fsync'd, append-only JSON-lines journal of job lifecycle records.
@@ -164,19 +191,7 @@ impl JobJournal {
             "{{\"rec\":\"submitted\",\"job\":{id},\"spec\":{}}}",
             spec.to_json_string()
         );
-        self.append(&mut inner, &line);
-    }
-
-    /// Record that a journaled job entered the work queues.
-    pub fn admitted(&self, id: u64) {
-        let mut inner = self.inner.lock();
-        if !inner.open_jobs.contains(&id) {
-            return;
-        }
-        self.append(
-            &mut inner,
-            &format!("{{\"rec\":\"admitted\",\"job\":{id}}}"),
-        );
+        self.append(&mut inner, &[line]);
     }
 
     /// Record the persistent-checkpoint key a journaled job's estimation
@@ -190,47 +205,64 @@ impl JobJournal {
         // without escaping.
         self.append(
             &mut inner,
-            &format!("{{\"rec\":\"checkpointed\",\"job\":{id},\"key\":\"{key}\"}}"),
+            &[format!(
+                "{{\"rec\":\"checkpointed\",\"job\":{id},\"key\":\"{key}\"}}"
+            )],
         );
     }
 
     /// Record successful completion (terminal).
     pub fn completed(&self, id: u64) {
-        self.terminal(id, format!("{{\"rec\":\"completed\",\"job\":{id}}}"));
+        self.settle(&[(id, Terminal::Completed)]);
     }
 
     /// Record cancellation (terminal).
     pub fn cancelled(&self, id: u64) {
-        self.terminal(id, format!("{{\"rec\":\"cancelled\",\"job\":{id}}}"));
+        self.settle(&[(id, Terminal::Cancelled)]);
     }
 
     /// Record permanent failure with the number of retries spent
     /// (terminal).
     pub fn failed(&self, id: u64, retries: u32) {
-        self.terminal(
-            id,
-            format!("{{\"rec\":\"failed\",\"job\":{id},\"retries\":{retries}}}"),
-        );
+        self.settle(&[(id, Terminal::Failed { retries })]);
     }
 
-    fn terminal(&self, id: u64, line: String) {
+    /// Record the terminal transitions of a whole batch of jobs with one
+    /// fsync, in slice order. Ids that were never journaled (in-process
+    /// submissions) or are already settled write nothing.
+    pub fn settle(&self, jobs: &[(u64, Terminal)]) {
         let mut inner = self.inner.lock();
-        if !inner.open_jobs.remove(&id) {
-            return;
-        }
-        self.append(&mut inner, &line);
+        let lines: Vec<String> = jobs
+            .iter()
+            .filter(|(id, _)| inner.open_jobs.remove(id))
+            .map(|&(id, terminal)| terminal.record(id))
+            .collect();
+        self.append(&mut inner, &lines);
     }
 
-    /// Append one record and fsync. Failures after open are surfaced as
+    /// Append records and fsync once. Failures after open are surfaced as
     /// trace events, not errors — the job itself must still run; only its
     /// crash durability degrades.
-    fn append(&self, inner: &mut Inner, line: &str) {
+    fn append(&self, inner: &mut Inner, lines: &[String]) {
+        if lines.is_empty() {
+            return;
+        }
         if let Some(mirror) = &inner.mirror {
             // Unbounded channel: never blocks. A gone replicator is not
             // this journal's problem.
-            let _ = mirror.send(line.to_string());
+            for line in lines {
+                let _ = mirror.send(line.clone());
+            }
         }
-        let result = writeln!(inner.file, "{line}").and_then(|_| inner.file.sync_data());
+        let mut buf = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        for line in lines {
+            buf.push_str(line);
+            buf.push('\n');
+        }
+        let result = inner
+            .file
+            .write_all(buf.as_bytes())
+            .and_then(|_| inner.file.sync_data());
         if let Err(err) = result {
             if self.tracer.enabled() {
                 self.tracer.emit(
@@ -356,6 +388,8 @@ pub fn replay_text(text: &str, tracer: &Tracer) -> Recovery {
                     }
                 }
             }
+            // Journals written before `admitted` records were dropped
+            // still carry them; they never changed a job's replay state.
             "admitted" => {}
             "checkpointed" => {
                 let key = doc.get("key").and_then(Json::as_str).map(|s| s.to_string());
@@ -469,13 +503,21 @@ mod tests {
             assert!(rec.jobs.is_empty());
             assert_eq!(rec.max_seen_id, 0);
             j.submitted(1, &spec(1));
-            j.admitted(1);
             j.submitted(2, &spec(2));
             j.checkpointed(2, "deadbeef01020304");
             j.submitted(3, &spec(3));
             j.completed(1);
             j.cancelled(3);
             // Simulate a crash: drop without terminal records for job 2.
+        }
+        // Journals written before `admitted` records were dropped carry
+        // them; replay must still open such a file and ignore them.
+        {
+            let mut f = OpenOptions::new()
+                .append(true)
+                .open(dir.join(JOURNAL_FILE))
+                .unwrap();
+            writeln!(f, "{{\"rec\":\"admitted\",\"job\":2}}").unwrap();
         }
         let (_j, rec) = JobJournal::open(&dir, Tracer::disabled()).unwrap();
         assert_eq!(rec.max_seen_id, 3);
@@ -511,6 +553,46 @@ mod tests {
             text.is_empty(),
             "compacted journal should be empty: {text:?}"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batch_settle_writes_every_terminal_record_in_order() {
+        let dir = tmp_dir("settle");
+        let ids = [3u64, 1, 4, 5, 9];
+        {
+            let (j, _) = JobJournal::open(&dir, Tracer::disabled()).unwrap();
+            let (tx, rx) = crossbeam::channel::unbounded();
+            j.set_mirror(tx);
+            for &id in &ids {
+                j.submitted(id, &spec(id));
+            }
+            let batch: Vec<(u64, Terminal)> = ids
+                .iter()
+                .map(|&id| match id {
+                    4 => (id, Terminal::Cancelled),
+                    9 => (id, Terminal::Failed { retries: 2 }),
+                    _ => (id, Terminal::Completed),
+                })
+                .collect();
+            // An id that was never journaled and a repeat settle write
+            // nothing.
+            j.settle(&[(77, Terminal::Completed)]);
+            j.settle(&batch);
+            j.settle(&batch);
+            let mirrored: Vec<String> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+            let on_disk: Vec<String> = j.snapshot_text().lines().map(String::from).collect();
+            assert_eq!(mirrored, on_disk, "the mirror sees the disk's append order");
+            let terminals: Vec<String> = batch.iter().map(|&(id, t)| t.record(id)).collect();
+            assert_eq!(on_disk.len(), ids.len() * 2);
+            assert_eq!(on_disk[ids.len()..], terminals[..]);
+        }
+        let (_j, rec) = JobJournal::open(&dir, Tracer::disabled()).unwrap();
+        assert!(
+            rec.jobs.is_empty(),
+            "a settled batch leaves nothing to recover"
+        );
+        assert_eq!(rec.max_seen_id, 9);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -572,7 +654,6 @@ mod tests {
         {
             let (j, _) = JobJournal::open(&dir, Tracer::disabled()).unwrap();
             // No submitted record: these must not create phantom entries.
-            j.admitted(40);
             j.checkpointed(40, "ab");
             j.completed(40);
             j.failed(41, 2);

@@ -309,6 +309,7 @@ impl SocketServer {
 
     fn stop_inner(&mut self) {
         self.state.stop.store(true, Ordering::SeqCst);
+        self.state.bus.wake();
         // Wake wait_shutdown() callers so a hosting process that stops the
         // listener directly doesn't strand a waiter.
         self.state.request_shutdown();

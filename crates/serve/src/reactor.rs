@@ -25,10 +25,14 @@
 //! threads no matter how many clients connect — the soak test drives
 //! hundreds of concurrent connections through it.
 //!
-//! With `unsafe` forbidden workspace-wide there is no `poll(2)`; the
-//! loop instead sleeps [`IDLE_SLEEP`] when a full scan makes no
-//! progress, bounding idle CPU while keeping worst-case added latency
-//! around a millisecond.
+//! With `unsafe` forbidden workspace-wide there is no `poll(2)`; a scan
+//! that makes no progress parks the thread instead. The park starts at
+//! [`IDLE_MIN`] after any scan that made progress and doubles on each
+//! empty scan up to [`IDLE_SLEEP`], so a busy client's next frame is read
+//! within ~0.1 ms while a silent server wakes no more than once a
+//! millisecond. Work that is not a socket byte does not wait for the
+//! tick at all: every event-bus publish and every worker answer unparks
+//! the thread (see [`EventBus::wake`](crate::events::EventBus::wake)).
 
 use crate::events::{job_state, terminal_kind};
 use crate::job::{JobOutput, Ticket};
@@ -48,7 +52,10 @@ use tracto_trace::{TractoError, TractoResult};
 /// Blocking-verb workers (currently only `drain` needs one).
 pub(crate) const WORKERS: usize = 2;
 
-/// Sleep when a full scan moved no bytes and fired no events.
+/// First park after a scan that made progress.
+const IDLE_MIN: Duration = Duration::from_micros(50);
+
+/// Longest park when scans keep finding nothing to do.
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
 
 /// Most bytes read from one connection per scan, so one firehose client
@@ -115,6 +122,7 @@ fn worker_loop(state: &ServerState, rx: &Receiver<Task>, tx: &Sender<(u64, Respo
                 if tx.send((conn, Response::Drained)).is_err() {
                     break;
                 }
+                state.bus.wake();
             }
         }
     }
@@ -240,6 +248,8 @@ struct Io {
 impl Io {
     fn run(&mut self, listener: Listener) {
         let mut events: Vec<Event> = Vec::new();
+        self.state.bus.set_waker(std::thread::current());
+        let mut idle = IDLE_MIN;
         while !self.state.stop.load(Ordering::SeqCst) {
             let mut progress = false;
             progress |= self.accept(&listener);
@@ -248,8 +258,11 @@ impl Io {
             progress |= self.scan();
             progress |= self.sweep_waiters(false);
             self.reap();
-            if !progress {
-                std::thread::sleep(IDLE_SLEEP);
+            if progress {
+                idle = IDLE_MIN;
+            } else {
+                std::thread::park_timeout(idle);
+                idle = next_idle(idle);
             }
         }
         // Stop: answer parked awaits with `pending` (as on a timeout), give
@@ -881,9 +894,36 @@ impl Io {
     }
 }
 
+/// The park after another empty scan: double the last one, up to
+/// [`IDLE_SLEEP`].
+fn next_idle(idle: Duration) -> Duration {
+    (idle * 2).min(IDLE_SLEEP)
+}
+
 fn error_response(e: &TractoError) -> Response {
     Response::Error {
         kind: e.kind().to_string(),
         message: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn idle_park_backs_off_from_the_minimum_to_the_tick() {
+        let mut idle = IDLE_MIN;
+        let mut parks = vec![idle];
+        while idle < IDLE_SLEEP {
+            idle = next_idle(idle);
+            parks.push(idle);
+        }
+        assert_eq!(parks.first(), Some(&Duration::from_micros(50)));
+        assert!(parks.windows(2).all(|w| w[1] == (w[0] * 2).min(IDLE_SLEEP)));
+        assert_eq!(next_idle(IDLE_SLEEP), IDLE_SLEEP, "the tick is the ceiling");
+        // A silent server reaches the tick within a few empty scans, so it
+        // wakes no more often than a fixed 1 ms sleep would.
+        assert!(parks.len() <= 6, "{parks:?}");
     }
 }

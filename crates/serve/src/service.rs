@@ -31,15 +31,15 @@ use crate::cache::{sample_key, DiskSampleCache, SampleCache, SampleKey};
 use crate::config::ServiceConfig;
 use crate::events::EventBus;
 use crate::job::{EstimateResult, JobError, JobId, JobOutput, Ticket, TrackResult};
-use crate::journal::{JobJournal, RecoveredJob};
+use crate::journal::{JobJournal, RecoveredJob, Terminal};
 use crate::metrics::{Metrics, MetricsPersist, MetricsSnapshot};
 use crate::spec::{materialize_dataset, DatasetSource, JobSpec, Work};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tracto::mcmc::{ChainConfig, CheckpointPolicy, CheckpointStore, SampleVolumes};
 use tracto::phantom::Dataset;
 use tracto::pipeline::{mean_dwi_volume, PipelineConfig};
@@ -86,6 +86,10 @@ enum TryPushError {
 
 /// SLO-aware admission queue feeding the estimation workers.
 ///
+/// A push publishes the job's `admitted` event inside the critical
+/// section that makes the task poppable, so no subscriber can see a job's
+/// terminal event before its `admitted` one.
+///
 /// The prep stage is where a cache-miss job pays its MCMC bill, so a
 /// plain FIFO channel head-of-line-blocks urgent work behind whatever
 /// arrived first — under overload every deadline blows no matter how the
@@ -100,10 +104,11 @@ struct PrepQueue {
     /// Signalled on pop and on close: wakes producers blocked in `push`.
     vacancy: Condvar,
     cap: usize,
+    bus: Arc<EventBus>,
 }
 
 impl PrepQueue {
-    fn new(cap: usize) -> PrepQueue {
+    fn new(cap: usize, bus: Arc<EventBus>) -> PrepQueue {
         PrepQueue {
             inner: Mutex::new(PrepQueueState {
                 entries: Vec::new(),
@@ -113,19 +118,24 @@ impl PrepQueue {
             nonempty: Condvar::new(),
             vacancy: Condvar::new(),
             cap: cap.max(1),
+            bus,
         }
     }
 
-    fn entry(state: &mut PrepQueueState, task: PrepTask) -> PrepEntry {
+    /// Enqueue under the held lock and announce the job as admitted.
+    fn enqueue(&self, state: &mut PrepQueueState, task: PrepTask) {
         let seq = state.seq;
         state.seq += 1;
         let deadline_at = task.spec.deadline.map(|d| task.ticket.accepted_at + d);
-        PrepEntry {
+        self.bus
+            .publish(task.ticket.id.0, "admitted", JobState::Pending);
+        state.entries.push(PrepEntry {
             seq,
             priority: task.spec.priority,
             deadline_at,
             task,
-        }
+        });
+        self.nonempty.notify_one();
     }
 
     /// Enqueue, blocking while the queue is at capacity. Returns the task
@@ -140,9 +150,7 @@ impl PrepQueue {
         if state.closed {
             return Err(task);
         }
-        let entry = Self::entry(&mut state, task);
-        state.entries.push(entry);
-        self.nonempty.notify_one();
+        self.enqueue(&mut state, task);
         Ok(())
     }
 
@@ -156,9 +164,7 @@ impl PrepQueue {
         if state.entries.len() >= self.cap {
             return Err(TryPushError::Full(task));
         }
-        let entry = Self::entry(&mut state, task);
-        state.entries.push(entry);
-        self.nonempty.notify_one();
+        self.enqueue(&mut state, task);
         Ok(())
     }
 
@@ -218,6 +224,8 @@ struct ReadyTrack {
     retry_budget: Option<u32>,
     tenant: String,
     ticket: Ticket<JobOutput>,
+    /// When the job entered the ready channel.
+    ready_at: Instant,
 }
 
 /// Per-tenant token bucket for submit-time rate limiting. Buckets start
@@ -263,6 +271,9 @@ fn apply_analytic_tier(r: &mut ReadyTrack) {
     r.config.jitter = 0.0;
 }
 
+/// A job's ticket, tenant and result, ready for [`Shared::settle`].
+type Settlement = (Ticket<JobOutput>, String, Result<JobOutput, JobError>);
+
 struct Shared {
     cache: SampleCache,
     disk: Option<DiskSampleCache>,
@@ -300,6 +311,10 @@ struct Shared {
     /// first miss). The prep-stage shed rung compares a dated job's
     /// remaining budget against it before paying for a doomed MCMC run.
     estimate_ewma_ms: AtomicU64,
+    /// Jobs admitted to the prep queue and not yet received by the batch
+    /// worker (or settled on the way). While it is nonzero an open batch
+    /// has a job to wait for; see [`hold_until`].
+    upstream: AtomicU64,
     /// Mirror of [`ServiceConfig::approx_low`] for the prep stage: under
     /// deadline pressure a low-priority MCMC job demotes to the
     /// deterministic tensorline tier (skipping estimation entirely)
@@ -415,16 +430,16 @@ impl Shared {
         (remaining < est_ms).then_some(est_ms)
     }
 
-    /// Settle a prep-stage shed: tick the overload counters, trace it,
-    /// and fail the ticket with the typed `Capacity` error remote
-    /// clients back off on.
+    /// Account a prep-stage shed: tick the overload counters, trace it,
+    /// and return the typed `Capacity` error (the one remote clients back
+    /// off on) to settle the job with.
     fn shed_at_prep(
         &self,
         ticket: &Ticket<JobOutput>,
         tenant: &str,
         remaining_ms: u64,
         est_ms: u64,
-    ) {
+    ) -> JobError {
         self.metrics.sheds.fetch_add(1, Ordering::Relaxed);
         self.metrics.tenant_shed(tenant);
         if self.tracer.enabled() {
@@ -439,41 +454,53 @@ impl Shared {
                 ],
             );
         }
-        self.complete(
-            ticket,
-            tenant,
-            Err(JobError::Failed(Arc::new(
-                tracto_trace::TractoError::capacity(
-                    format!(
-                        "remaining deadline {remaining_ms}ms below estimation cost \
-                         (retry_after_ms={est_ms})"
-                    ),
-                    est_ms,
-                    remaining_ms,
-                ),
-            ))),
-        );
+        JobError::Failed(Arc::new(tracto_trace::TractoError::capacity(
+            format!(
+                "remaining deadline {remaining_ms}ms below estimation cost \
+                 (retry_after_ms={est_ms})"
+            ),
+            est_ms,
+            remaining_ms,
+        )))
     }
 
-    fn job_finished(&self) {
+    fn jobs_finished(&self, jobs: u64) {
         let mut n = self.in_flight.lock();
-        *n -= 1;
+        *n -= jobs;
         if *n == 0 {
             self.idle.notify_all();
         }
     }
 
-    /// Fulfill a ticket and settle the per-outcome counters. The counters
-    /// follow what the ticket actually *stored* — a cancel that won the
-    /// race converts a late success into `Cancelled`, and the cancelled
-    /// counter (not the completed one) must tick.
+    /// Settle one job; see [`settle`](Self::settle).
     fn complete(
         &self,
         ticket: &Ticket<JobOutput>,
         tenant: &str,
         result: Result<JobOutput, JobError>,
     ) {
-        if let Some(stored) = ticket.fulfill(result) {
+        self.settle(vec![(ticket.clone(), tenant.to_string(), result)]);
+    }
+
+    /// Settle a batch of jobs at once:
+    ///
+    /// 1. fulfill each ticket and tick the per-outcome counters, which
+    ///    follow what the ticket actually *stored* — a cancel that won the
+    ///    race converts a late success into `Cancelled`, and the cancelled
+    ///    counter (not the completed one) must tick;
+    /// 2. write every terminal journal record with one fsync;
+    /// 3. publish the terminal events, so each record is durable before
+    ///    its event is observable;
+    /// 4. save the counter sidecar once, after the counters settled, so a
+    ///    crash never observes a job both re-runnable and counted;
+    /// 5. release the jobs' in-flight slots.
+    fn settle(&self, jobs: Vec<Settlement>) {
+        let count = jobs.len() as u64;
+        let mut stored_all = Vec::with_capacity(jobs.len());
+        for (ticket, tenant, result) in jobs {
+            let Some(stored) = ticket.fulfill(result) else {
+                continue;
+            };
             let (counter, event) = match &stored {
                 Ok(_) => (&self.metrics.completed, "serve.job_completed"),
                 Err(JobError::Cancelled) => (&self.metrics.cancelled, "serve.job_cancelled"),
@@ -484,16 +511,7 @@ impl Shared {
             };
             counter.fetch_add(1, Ordering::Relaxed);
             if stored.is_ok() {
-                self.metrics.tenant_completed(tenant);
-            }
-            if let Some(journal) = &self.journal {
-                // The terminal record is a no-op for jobs that were never
-                // journaled (in-process submissions).
-                match &stored {
-                    Ok(_) => journal.completed(ticket.id.0),
-                    Err(JobError::Cancelled) => journal.cancelled(ticket.id.0),
-                    Err(_) => journal.failed(ticket.id.0, ticket.attempts()),
-                }
+                self.metrics.tenant_completed(&tenant);
             }
             if self.tracer.enabled() {
                 match &stored {
@@ -507,21 +525,42 @@ impl Shared {
                     _ => self.tracer.emit(event, &[("job", ticket.id.0.into())]),
                 }
             }
+            stored_all.push((ticket, stored));
+        }
+        if !stored_all.is_empty() {
+            if let Some(journal) = &self.journal {
+                // Ids that were never journaled (in-process submissions)
+                // write nothing.
+                let records: Vec<(u64, Terminal)> = stored_all
+                    .iter()
+                    .map(|(ticket, stored)| {
+                        let terminal = match stored {
+                            Ok(_) => Terminal::Completed,
+                            Err(JobError::Cancelled) => Terminal::Cancelled,
+                            Err(_) => Terminal::Failed {
+                                retries: ticket.attempts(),
+                            },
+                        };
+                        (ticket.id.0, terminal)
+                    })
+                    .collect();
+                journal.settle(&records);
+            }
             // Terminal push carries the full wire state, so a subscriber
             // needs no follow-up status poll. Gated on `attached` because
             // building the state clones the result.
             if self.bus.attached() {
-                self.bus.publish(
-                    ticket.id.0,
-                    crate::events::terminal_kind(&stored),
-                    crate::events::job_state(Some(stored)),
-                );
+                for (ticket, stored) in stored_all {
+                    self.bus.publish(
+                        ticket.id.0,
+                        crate::events::terminal_kind(&stored),
+                        crate::events::job_state(Some(stored)),
+                    );
+                }
             }
-            // Persist after the counters settle so a crash never observes
-            // a job both re-runnable (journaled, unfinished) and counted.
             self.persist_metrics();
         }
-        self.job_finished();
+        self.jobs_finished(count);
     }
 
     /// Resolve a job's dataset: an in-process `Arc` passes through, a
@@ -813,10 +852,14 @@ impl TractoService {
             buckets: Mutex::new(HashMap::new()),
             service_ewma_ms: AtomicU64::new(0),
             estimate_ewma_ms: AtomicU64::new(0),
+            upstream: AtomicU64::new(0),
             approx_low: config.approx_low,
         });
 
-        let prep_q = Arc::new(PrepQueue::new(config.queue_capacity));
+        let prep_q = Arc::new(PrepQueue::new(
+            config.queue_capacity,
+            Arc::clone(&shared.bus),
+        ));
         let (ready_tx, ready_rx) = bounded::<ReadyTrack>(config.queue_capacity);
 
         let mut workers = Vec::new();
@@ -905,14 +948,9 @@ impl TractoService {
             spec,
             ticket: ticket.clone(),
         };
-        if self.prep_q.push(task).is_ok() {
-            if let Some(journal) = &self.shared.journal {
-                journal.admitted(ticket.id.0);
-            }
-            self.shared
-                .bus
-                .publish(ticket.id.0, "admitted", JobState::Pending);
-        } else {
+        self.shared.upstream.fetch_add(1, Ordering::SeqCst);
+        if self.prep_q.push(task).is_err() {
+            self.shared.upstream.fetch_sub(1, Ordering::SeqCst);
             self.shared
                 .complete(&ticket, &tenant, Err(JobError::ShuttingDown));
         }
@@ -929,7 +967,7 @@ impl TractoService {
         if let Some(err) = self.shared.admission_shed(&spec) {
             self.shared.job_started(&spec.tenant);
             self.shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            self.shared.job_finished();
+            self.shared.jobs_finished(1);
             self.shared.persist_metrics();
             return Err(err);
         }
@@ -940,19 +978,16 @@ impl TractoService {
         }
         self.shared.job_started(&spec.tenant);
         let tenant = spec.tenant.clone();
-        match self.prep_q.try_push(PrepTask {
+        self.shared.upstream.fetch_add(1, Ordering::SeqCst);
+        let pushed = self.prep_q.try_push(PrepTask {
             spec,
             ticket: ticket.clone(),
-        }) {
-            Ok(()) => {
-                if let Some(journal) = &self.shared.journal {
-                    journal.admitted(ticket.id.0);
-                }
-                self.shared
-                    .bus
-                    .publish(ticket.id.0, "admitted", JobState::Pending);
-                Ok(ticket)
-            }
+        });
+        if pushed.is_err() {
+            self.shared.upstream.fetch_sub(1, Ordering::SeqCst);
+        }
+        match pushed {
+            Ok(()) => Ok(ticket),
             Err(TryPushError::Full(_)) => {
                 if let Some(journal) = &self.shared.journal {
                     journal.failed(ticket.id.0, 0);
@@ -962,7 +997,7 @@ impl TractoService {
                 // shows up in the overload counters, not just as failures.
                 self.shared.metrics.sheds.fetch_add(1, Ordering::Relaxed);
                 self.shared.metrics.tenant_shed(&tenant);
-                self.shared.job_finished();
+                self.shared.jobs_finished(1);
                 self.shared.persist_metrics();
                 Err(JobError::QueueFull)
             }
@@ -971,7 +1006,7 @@ impl TractoService {
                     journal.failed(ticket.id.0, 0);
                 }
                 self.shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                self.shared.job_finished();
+                self.shared.jobs_finished(1);
                 self.shared.persist_metrics();
                 Err(JobError::ShuttingDown)
             }
@@ -1017,12 +1052,9 @@ impl TractoService {
                         spec,
                         ticket: ticket.clone(),
                     };
-                    if self.prep_q.push(task).is_ok() {
-                        if let Some(journal) = &self.shared.journal {
-                            journal.admitted(r.id);
-                        }
-                        self.shared.bus.publish(r.id, "admitted", JobState::Pending);
-                    } else {
+                    self.shared.upstream.fetch_add(1, Ordering::SeqCst);
+                    if self.prep_q.push(task).is_err() {
+                        self.shared.upstream.fetch_sub(1, Ordering::SeqCst);
                         self.shared
                             .complete(&ticket, &tenant, Err(JobError::ShuttingDown));
                     }
@@ -1049,6 +1081,12 @@ impl TractoService {
         while *n > 0 {
             self.shared.idle.wait(&mut n);
         }
+    }
+
+    /// Jobs admitted and not yet received by the batch worker.
+    #[cfg(test)]
+    fn upstream(&self) -> u64 {
+        self.shared.upstream.load(Ordering::SeqCst)
     }
 
     /// Current metrics.
@@ -1086,6 +1124,15 @@ fn work_kind(work: &Work) -> &'static str {
     }
 }
 
+/// What the prep stage made of one task.
+enum Prepared {
+    /// A tracking job ready for the batch worker.
+    Ready(ReadyTrack),
+    /// A job that ends in the prep stage — estimation work, or a cancel,
+    /// deadline, shed or dataset error — for the worker to settle.
+    Settle(Settlement),
+}
+
 fn estimate_worker(
     index: usize,
     queue: Arc<PrepQueue>,
@@ -1095,148 +1142,163 @@ fn estimate_worker(
 ) {
     let mut gpu = Gpu::new(device);
     gpu.set_tracer(shared.tracer.clone(), index as u32);
-    while let Some(PrepTask { spec, ticket }) = queue.pop() {
-        if ticket.is_cancelled() {
-            shared.complete(&ticket, &spec.tenant, Err(JobError::Cancelled));
-            continue;
-        }
-        let deadline_at = spec.deadline.map(|d| ticket.accepted_at + d);
-        if deadline_at.is_some_and(|t| Instant::now() >= t) {
-            shared.complete(&ticket, &spec.tenant, Err(JobError::DeadlineExceeded));
-            continue;
-        }
-        let dataset = match shared.resolve_dataset(&spec.dataset) {
-            Ok(ds) => ds,
-            Err(err) => {
-                shared.complete(&ticket, &spec.tenant, Err(err));
-                continue;
-            }
-        };
-        match spec.work {
-            Work::Estimate { prior, chain, seed } => {
-                let key = sample_key(&dataset, &prior, &chain, seed);
-                // Prep-stage shed rung: an estimation job has no cheaper
-                // tier to demote onto, so an unaffordable fresh run is
-                // shed typed before it burns the worker.
-                if let Some(est_ms) = shared.estimation_infeasible(deadline_at, key, spec.cache) {
-                    let remaining_ms = deadline_at
-                        .map(|t| t.saturating_duration_since(Instant::now()).as_millis() as u64)
-                        .unwrap_or(0);
-                    shared.shed_at_prep(&ticket, &spec.tenant, remaining_ms, est_ms);
-                    continue;
-                }
-                let (samples, cache_hit, voxels) = shared.resolve_samples(
-                    &mut gpu, key, &dataset, prior, chain, seed, spec.cache, ticket.id,
-                );
-                if deadline_at.is_some_and(|t| Instant::now() <= t) {
-                    shared.metrics.deadline_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                shared.complete(
-                    &ticket,
-                    &spec.tenant,
-                    Ok(JobOutput::Estimate(EstimateResult {
-                        samples,
-                        cache_hit,
-                        voxels,
-                    })),
-                );
-            }
-            Work::Track {
-                mut config,
-                seeds,
-                stop_mask,
-            } => {
-                let seeds = seeds.unwrap_or_else(|| seeds_from_mask(&dataset.truth.fiber_mask()));
-                // Derive the stop mask here, where the dataset is
-                // materialized: remote jobs carry only the percentile.
-                let stop_mask = stop_mask.or_else(|| {
-                    config
-                        .stop_percentile
-                        .and_then(|pct| mask_from_percentile(&mean_dwi_volume(&dataset.dwi), pct))
-                });
-                // Prep-stage overload ladder, applied where the MCMC bill
-                // is actually paid: a dated job whose remaining budget
-                // cannot cover a fresh estimation either demotes onto the
-                // estimation-free tensorline tier (low priority, opt-in
-                // via `--approx-low`) or is shed typed — never run to a
-                // guaranteed deadline failure.
-                if config.modality != Modality::Tensorline {
-                    let key = sample_key(&dataset, &config.prior, &config.chain, config.seed);
-                    if let Some(est_ms) = shared.estimation_infeasible(deadline_at, key, spec.cache)
-                    {
-                        if shared.approx_low
-                            && spec.priority == Priority::Low
-                            && config.modality == Modality::Mcmc
-                        {
-                            config.modality = Modality::Tensorline;
-                            config.jitter = 0.0;
-                            shared.metrics.demotions.fetch_add(1, Ordering::Relaxed);
-                            if shared.tracer.enabled() {
-                                shared.tracer.emit(
-                                    "serve.job_demoted",
-                                    &[
-                                        ("job", ticket.id.0.into()),
-                                        ("modality", Value::Text("tensorline".into())),
-                                    ],
-                                );
-                            }
-                        } else {
-                            let remaining_ms = deadline_at
-                                .map(|t| {
-                                    t.saturating_duration_since(Instant::now()).as_millis() as u64
-                                })
-                                .unwrap_or(0);
-                            shared.shed_at_prep(&ticket, &spec.tenant, remaining_ms, est_ms);
-                            continue;
-                        }
+    while let Some(task) = queue.pop() {
+        let (ticket, tenant, result) = match prepare(&shared, &mut gpu, task) {
+            Prepared::Ready(mut ready) => {
+                // Stamped at the send, after any tier rewrite in `prepare`.
+                ready.ready_at = Instant::now();
+                match tx.send(ready) {
+                    Ok(()) => continue,
+                    Err(send_err) => {
+                        let ReadyTrack { ticket, tenant, .. } = send_err.0;
+                        (ticket, tenant, Err(JobError::ShuttingDown))
                     }
                 }
-                let (samples, cache_hit) = if config.modality == Modality::Tensorline {
-                    // The tensorline tier skips MCMC entirely: Step 1 is
-                    // the closed-form tensor fit. It must bypass the
-                    // sample cache — a fit stored under the dataset+chain
-                    // key would poison later MCMC jobs (and vice versa).
-                    (
-                        Arc::new(TensorField::fit(&dataset.acq, &dataset.dwi).to_sample_volumes()),
-                        false,
-                    )
-                } else {
-                    let key = sample_key(&dataset, &config.prior, &config.chain, config.seed);
-                    let (samples, cache_hit, _) = shared.resolve_samples(
-                        &mut gpu,
-                        key,
-                        &dataset,
-                        config.prior,
-                        config.chain,
-                        config.seed,
-                        spec.cache,
-                        ticket.id,
-                    );
-                    (samples, cache_hit)
-                };
-                let mut ready = ReadyTrack {
-                    config,
-                    seeds,
+            }
+            Prepared::Settle(settlement) => settlement,
+        };
+        // The job will never reach the batch worker, so it stops counting
+        // as upstream — before it settles, so `drain` never sees it.
+        shared.upstream.fetch_sub(1, Ordering::SeqCst);
+        shared.complete(&ticket, &tenant, result);
+    }
+}
+
+/// Run the prep stage for one task: the cancel and deadline checks,
+/// dataset resolution, the overload ladder, and Step 1 through the
+/// sample cache.
+fn prepare(shared: &Shared, gpu: &mut Gpu, task: PrepTask) -> Prepared {
+    let PrepTask { spec, ticket } = task;
+    if ticket.is_cancelled() {
+        return Prepared::Settle((ticket, spec.tenant, Err(JobError::Cancelled)));
+    }
+    let deadline_at = spec.deadline.map(|d| ticket.accepted_at + d);
+    if deadline_at.is_some_and(|t| Instant::now() >= t) {
+        return Prepared::Settle((ticket, spec.tenant, Err(JobError::DeadlineExceeded)));
+    }
+    let dataset = match shared.resolve_dataset(&spec.dataset) {
+        Ok(ds) => ds,
+        Err(err) => return Prepared::Settle((ticket, spec.tenant, Err(err))),
+    };
+    match spec.work {
+        Work::Estimate { prior, chain, seed } => {
+            let key = sample_key(&dataset, &prior, &chain, seed);
+            // Prep-stage shed rung: an estimation job has no cheaper
+            // tier to demote onto, so an unaffordable fresh run is
+            // shed typed before it burns the worker.
+            if let Some(est_ms) = shared.estimation_infeasible(deadline_at, key, spec.cache) {
+                let remaining_ms = deadline_at
+                    .map(|t| t.saturating_duration_since(Instant::now()).as_millis() as u64)
+                    .unwrap_or(0);
+                let err = shared.shed_at_prep(&ticket, &spec.tenant, remaining_ms, est_ms);
+                return Prepared::Settle((ticket, spec.tenant, Err(err)));
+            }
+            let (samples, cache_hit, voxels) = shared.resolve_samples(
+                gpu, key, &dataset, prior, chain, seed, spec.cache, ticket.id,
+            );
+            if deadline_at.is_some_and(|t| Instant::now() <= t) {
+                shared.metrics.deadline_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            Prepared::Settle((
+                ticket,
+                spec.tenant,
+                Ok(JobOutput::Estimate(EstimateResult {
                     samples,
-                    stop_mask,
                     cache_hit,
-                    deadline_at,
-                    priority: spec.priority,
-                    retry_budget: spec.retry_budget,
-                    tenant: spec.tenant,
-                    ticket,
-                };
-                match ready.config.modality {
-                    Modality::Analytic => apply_analytic_tier(&mut ready),
-                    // Deterministic tiers never jitter their seeds.
-                    Modality::Tensorline => ready.config.jitter = 0.0,
-                    Modality::Mcmc => {}
-                }
-                if let Err(send_err) = tx.send(ready) {
-                    let ReadyTrack { ticket, tenant, .. } = send_err.0;
-                    shared.complete(&ticket, &tenant, Err(JobError::ShuttingDown));
+                    voxels,
+                })),
+            ))
+        }
+        Work::Track {
+            mut config,
+            seeds,
+            stop_mask,
+        } => {
+            let seeds = seeds.unwrap_or_else(|| seeds_from_mask(&dataset.truth.fiber_mask()));
+            // Derive the stop mask here, where the dataset is
+            // materialized: remote jobs carry only the percentile.
+            let stop_mask = stop_mask.or_else(|| {
+                config
+                    .stop_percentile
+                    .and_then(|pct| mask_from_percentile(&mean_dwi_volume(&dataset.dwi), pct))
+            });
+            // Prep-stage overload ladder, applied where the MCMC bill
+            // is actually paid: a dated job whose remaining budget
+            // cannot cover a fresh estimation either demotes onto the
+            // estimation-free tensorline tier (low priority, opt-in
+            // via `--approx-low`) or is shed typed — never run to a
+            // guaranteed deadline failure.
+            if config.modality != Modality::Tensorline {
+                let key = sample_key(&dataset, &config.prior, &config.chain, config.seed);
+                if let Some(est_ms) = shared.estimation_infeasible(deadline_at, key, spec.cache) {
+                    if shared.approx_low
+                        && spec.priority == Priority::Low
+                        && config.modality == Modality::Mcmc
+                    {
+                        config.modality = Modality::Tensorline;
+                        config.jitter = 0.0;
+                        shared.metrics.demotions.fetch_add(1, Ordering::Relaxed);
+                        if shared.tracer.enabled() {
+                            shared.tracer.emit(
+                                "serve.job_demoted",
+                                &[
+                                    ("job", ticket.id.0.into()),
+                                    ("modality", Value::Text("tensorline".into())),
+                                ],
+                            );
+                        }
+                    } else {
+                        let remaining_ms = deadline_at
+                            .map(|t| t.saturating_duration_since(Instant::now()).as_millis() as u64)
+                            .unwrap_or(0);
+                        let err = shared.shed_at_prep(&ticket, &spec.tenant, remaining_ms, est_ms);
+                        return Prepared::Settle((ticket, spec.tenant, Err(err)));
+                    }
                 }
             }
+            let (samples, cache_hit) = if config.modality == Modality::Tensorline {
+                // The tensorline tier skips MCMC entirely: Step 1 is
+                // the closed-form tensor fit. It must bypass the
+                // sample cache — a fit stored under the dataset+chain
+                // key would poison later MCMC jobs (and vice versa).
+                (
+                    Arc::new(TensorField::fit(&dataset.acq, &dataset.dwi).to_sample_volumes()),
+                    false,
+                )
+            } else {
+                let key = sample_key(&dataset, &config.prior, &config.chain, config.seed);
+                let (samples, cache_hit, _) = shared.resolve_samples(
+                    gpu,
+                    key,
+                    &dataset,
+                    config.prior,
+                    config.chain,
+                    config.seed,
+                    spec.cache,
+                    ticket.id,
+                );
+                (samples, cache_hit)
+            };
+            let mut ready = ReadyTrack {
+                config,
+                seeds,
+                samples,
+                stop_mask,
+                cache_hit,
+                deadline_at,
+                priority: spec.priority,
+                retry_budget: spec.retry_budget,
+                tenant: spec.tenant,
+                ticket,
+                ready_at: Instant::now(),
+            };
+            match ready.config.modality {
+                Modality::Analytic => apply_analytic_tier(&mut ready),
+                // Deterministic tiers never jitter their seeds.
+                Modality::Tensorline => ready.config.jitter = 0.0,
+                Modality::Mcmc => {}
+            }
+            Prepared::Ready(ready)
         }
     }
 }
@@ -1379,6 +1441,65 @@ fn settle_fault_metrics(multi: &MultiGpu, shared: &Shared, last: &mut FaultCount
     };
 }
 
+/// How many expected arrival gaps an open batch waits, when no admitted
+/// job is upstream, before it concludes that nothing is coming.
+const HOLD_GAPS: u32 = 8;
+
+/// The batching window scaled to the live share of the pool: fewer
+/// devices means piling up a full-width batch only adds queueing delay.
+fn pool_window(batch_window: Duration, alive: usize, total: usize) -> Duration {
+    batch_window.mul_f64(alive.max(1) as f64 / total.max(1) as f64)
+}
+
+/// Until when an open batch waits for its next job; `None` runs it now.
+///
+/// A batch holds only while a job is expected. With an admitted job
+/// still upstream of the batch worker it holds to the end of the window.
+/// Otherwise it holds while the arrival-gap EWMA (`gap`) is shorter than
+/// the pool-scaled `window`, and then only [`HOLD_GAPS`] gaps past
+/// `hold_from` — the later of the batch's opening and its latest arrival.
+/// The window stays the upper bound.
+fn hold_until(
+    upstream: u64,
+    gap: Option<Duration>,
+    hold_from: Instant,
+    window: Duration,
+    window_end: Instant,
+) -> Option<Instant> {
+    if upstream > 0 {
+        return Some(window_end);
+    }
+    let gap = gap.filter(|g| *g < window)?;
+    Some((hold_from + gap * HOLD_GAPS).min(window_end))
+}
+
+/// EWMA (4:1, like `service_ewma_ms`) of the gap between consecutive
+/// arrivals (entries into the ready channel) of jobs that end up in the
+/// same batch. The gap before a batch's first job is not counted: it
+/// measures the clients' think time, and a lone closed-loop client would
+/// otherwise look like a stream worth waiting for. A hold that ends with
+/// the batch closing counts as a gap of the time waited, so a stale short
+/// estimate grows back once jobs stop coming.
+#[derive(Default)]
+struct ArrivalGap {
+    ewma: Option<Duration>,
+}
+
+impl ArrivalGap {
+    fn record(&mut self, gap: Duration) {
+        self.ewma = Some(match self.ewma {
+            None => gap,
+            Some(prev) => (prev * 4 + gap) / 5,
+        });
+    }
+}
+
+/// A job arrived at the batch worker: it is no longer upstream.
+fn received(shared: &Shared, ready: ReadyTrack) -> ReadyTrack {
+    shared.upstream.fetch_sub(1, Ordering::SeqCst);
+    ready
+}
+
 fn batch_worker(rx: Receiver<ReadyTrack>, shared: Arc<Shared>, cfg: ServiceConfig) {
     let mut multi = MultiGpu::new(cfg.device.clone(), cfg.devices);
     multi.set_tracer(&shared.tracer);
@@ -1401,6 +1522,7 @@ fn batch_worker(rx: Receiver<ReadyTrack>, shared: Arc<Shared>, cfg: ServiceConfi
     let mut counters = FaultCounters::default();
     let mut prev_alive = multi.alive_devices();
     let mut channel_open = true;
+    let mut gap = ArrivalGap::default();
     loop {
         // Promote retries whose backoff has expired.
         let now = Instant::now();
@@ -1424,43 +1546,69 @@ fn batch_worker(rx: Receiver<ReadyTrack>, shared: Arc<Shared>, cfg: ServiceConfi
                 // Idle but with retries pending: sleep on the channel only
                 // until the earliest backoff expires.
                 match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
-                    Ok(t) => pending.push(t),
+                    Ok(t) => pending.push(received(&shared, t)),
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => channel_open = false,
                 }
                 continue;
             } else {
                 match rx.recv() {
-                    Ok(t) => pending.push(t),
+                    Ok(t) => pending.push(received(&shared, t)),
                     Err(_) => channel_open = false,
                 }
                 continue;
             }
         }
-        // Continuous batching: hold the window open briefly to merge work
-        // from other clients into this launch sequence. A backlog wider
-        // than one batch skips the wait and drains immediately. A degraded
-        // pool shrinks the window proportionally — fewer devices means
-        // piling up a full-width batch only adds queueing delay.
-        let alive = multi.alive_devices().max(1);
-        let window = cfg
-            .batch_window
-            .mul_f64(alive as f64 / total_devices.max(1) as f64);
-        let window_end = Instant::now() + window;
+        // Continuous batching, work-conserving: take every job already
+        // queued, then hold the batch open only while another job is
+        // expected (`hold_until`), re-deciding on each arrival. A backlog
+        // wider than one batch skips the wait and drains immediately.
+        let window = pool_window(cfg.batch_window, multi.alive_devices(), total_devices);
+        let opened = Instant::now();
+        let window_end = opened + window;
+        // The latest arrival into this batch, for the gap EWMA; holds run
+        // from it or from the batch's opening, whichever is later.
+        let mut last_arrival = pending.iter().map(|r| r.ready_at).max().unwrap_or(opened);
+        let mut waited = false;
         while channel_open && pending.len() < cfg.max_batch_jobs {
-            let now = Instant::now();
-            if now >= window_end {
-                break;
-            }
-            match rx.recv_timeout(window_end - now) {
-                Ok(t) => pending.push(t),
-                Err(RecvTimeoutError::Timeout) => break,
-                // The held jobs still run; the next iteration observes the
-                // closed channel.
-                Err(RecvTimeoutError::Disconnected) => {
+            let next = match rx.try_recv() {
+                Ok(t) => Some(t),
+                Err(TryRecvError::Disconnected) => {
                     channel_open = false;
                     break;
                 }
+                Err(TryRecvError::Empty) => {
+                    let now = Instant::now();
+                    let upstream = shared.upstream.load(Ordering::SeqCst);
+                    let hold_from = last_arrival.max(opened);
+                    let Some(until) = hold_until(upstream, gap.ewma, hold_from, window, window_end)
+                        .filter(|&t| t > now)
+                    else {
+                        if waited {
+                            gap.record(now.saturating_duration_since(hold_from));
+                        }
+                        break;
+                    };
+                    match rx.recv_timeout(until - now) {
+                        Ok(t) => Some(t),
+                        Err(RecvTimeoutError::Timeout) => {
+                            waited = true;
+                            None
+                        }
+                        // The held jobs still run; the next iteration
+                        // observes the closed channel.
+                        Err(RecvTimeoutError::Disconnected) => {
+                            channel_open = false;
+                            break;
+                        }
+                    }
+                }
+            };
+            if let Some(t) = next {
+                gap.record(t.ready_at.saturating_duration_since(last_arrival));
+                last_arrival = last_arrival.max(t.ready_at);
+                waited = false;
+                pending.push(received(&shared, t));
             }
         }
 
@@ -1560,6 +1708,7 @@ fn batch_worker(rx: Receiver<ReadyTrack>, shared: Arc<Shared>, cfg: ServiceConfi
         shared.complete(&r.ticket, &r.tenant, Err(JobError::ShuttingDown));
     }
     while let Ok(r) = rx.try_recv() {
+        let r = received(&shared, r);
         shared.complete(&r.ticket, &r.tenant, Err(JobError::ShuttingDown));
     }
 }
@@ -1620,21 +1769,23 @@ fn execute_batch(
             shared.service_ewma_ms.store(ewma, Ordering::Relaxed);
             let batch_jobs = live.len();
             let settled_at = Instant::now();
-            for (r, out) in live.into_iter().zip(report.per_job) {
-                if r.deadline_at.is_some_and(|t| settled_at <= t) {
-                    shared.metrics.deadline_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                shared.complete(
-                    &r.ticket,
-                    &r.tenant,
-                    Ok(JobOutput::Track(TrackResult {
+            let outcomes = live
+                .into_iter()
+                .zip(report.per_job)
+                .map(|(r, out)| {
+                    if r.deadline_at.is_some_and(|t| settled_at <= t) {
+                        shared.metrics.deadline_hits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let result = Ok(JobOutput::Track(TrackResult {
                         tracking: out,
                         cache_hit: r.cache_hit,
                         batch_jobs,
                         batch_lanes: report.lanes,
-                    })),
-                );
-            }
+                    }));
+                    (r.ticket, r.tenant, result)
+                })
+                .collect();
+            shared.settle(outcomes);
         }
         Err(err) if err.is_retryable() => {
             // A transient device fault escaped the pool before any lane ran
@@ -1755,6 +1906,7 @@ mod tests {
             retry_budget: None,
             tenant: tenant.to_string(),
             ticket: Ticket::new(JobId(0)),
+            ready_at: Instant::now(),
         }
     }
 
@@ -1972,7 +2124,7 @@ mod tests {
                 ticket: Ticket::new(JobId(id)),
             }
         };
-        let q = PrepQueue::new(8);
+        let q = PrepQueue::new(8, Arc::new(EventBus::new()));
         q.push(task(1, Priority::Low, None)).ok().unwrap();
         q.push(task(2, Priority::Normal, Some(Duration::from_secs(9))))
             .ok()
@@ -1996,7 +2148,7 @@ mod tests {
             "pushes after close are refused"
         );
         // A full queue refuses non-blocking pushes without dropping jobs.
-        let q = PrepQueue::new(2);
+        let q = PrepQueue::new(2, Arc::new(EventBus::new()));
         q.push(task(7, Priority::Normal, None)).ok().unwrap();
         q.push(task(8, Priority::Normal, None)).ok().unwrap();
         assert!(matches!(
@@ -2290,6 +2442,136 @@ mod tests {
     }
 
     #[test]
+    fn batches_hold_only_while_a_job_is_expected() {
+        let ms = Duration::from_millis;
+        let t0 = Instant::now();
+        let window = ms(20);
+        let end = t0 + window;
+        // An admitted job still upstream holds the batch to the window's end.
+        assert_eq!(hold_until(1, None, t0, window, end), Some(end));
+        assert_eq!(hold_until(3, Some(ms(500)), t0, window, end), Some(end));
+        // Nothing upstream, but jobs have been arriving 1 ms apart: hold
+        // HOLD_GAPS gaps past the latest arrival...
+        let last = t0 + ms(2);
+        assert_eq!(
+            hold_until(0, Some(ms(1)), last, window, end),
+            Some(last + ms(1) * HOLD_GAPS)
+        );
+        // ...and never past the window.
+        assert_eq!(hold_until(0, Some(ms(9)), last, window, end), Some(end));
+        // Neither signal: the batch runs now.
+        assert_eq!(hold_until(0, None, t0, window, end), None);
+        assert_eq!(hold_until(0, Some(window), t0, window, end), None);
+        assert_eq!(hold_until(0, Some(ms(50)), t0, window, end), None);
+    }
+
+    #[test]
+    fn a_degraded_pool_judges_the_gap_against_a_shorter_window() {
+        let ms = Duration::from_millis;
+        let full = pool_window(ms(20), 4, 4);
+        let degraded = pool_window(ms(20), 2, 4);
+        assert_eq!(full, ms(20));
+        assert_eq!(degraded, ms(10));
+        assert_eq!(pool_window(ms(20), 0, 4), ms(5), "at least one device");
+        let t0 = Instant::now();
+        let gap = Some(ms(12));
+        assert_eq!(hold_until(0, gap, t0, full, t0 + full), Some(t0 + full));
+        assert_eq!(hold_until(0, gap, t0, degraded, t0 + degraded), None);
+        assert_eq!(
+            hold_until(1, gap, t0, degraded, t0 + degraded),
+            Some(t0 + degraded)
+        );
+    }
+
+    #[test]
+    fn arrival_gap_is_a_four_to_one_ewma() {
+        let ms = Duration::from_millis;
+        let mut gap = ArrivalGap::default();
+        assert_eq!(gap.ewma, None);
+        gap.record(ms(10));
+        assert_eq!(gap.ewma, Some(ms(10)), "the first wait seeds it");
+        gap.record(ms(20));
+        assert_eq!(gap.ewma, Some(ms(12)));
+    }
+
+    #[test]
+    fn a_lone_job_does_not_wait_out_the_batch_window() {
+        let mut cfg = small_config();
+        cfg.batch_window = Duration::from_secs(5);
+        let service = TractoService::start(cfg);
+        let ds = tiny_dataset(41);
+        // Warm the sample cache, so the timed jobs are tracking alone.
+        service
+            .submit(JobSpec::track(Arc::clone(&ds), fast_pipeline(2)))
+            .wait_track()
+            .expect("warm job");
+        for _ in 0..2 {
+            let t0 = Instant::now();
+            let r = service
+                .submit(JobSpec::track(Arc::clone(&ds), fast_pipeline(2)))
+                .wait_track()
+                .expect("lone job");
+            assert_eq!(r.batch_jobs, 1);
+            assert!(
+                t0.elapsed() < Duration::from_millis(2500),
+                "a lone job waited {:?} for company that was not coming",
+                t0.elapsed()
+            );
+        }
+        let snap = service.shutdown();
+        assert_eq!(snap.completed, 3);
+    }
+
+    #[test]
+    fn upstream_count_returns_to_zero_after_drain() {
+        use tracto_trace::ErrorKind;
+        let service = TractoService::start(small_config());
+        let ds = tiny_dataset(43);
+        // Two cold track jobs occupy both estimation workers...
+        let mut tickets: Vec<_> = (0..2)
+            .map(|i| service.submit(JobSpec::track(Arc::clone(&ds), fast_pipeline(i))))
+            .collect();
+        // ...so these queue behind them: a job past its deadline at prep
+        // (the service floor is still unknown, so admission lets it in),
+        let late = service.submit(
+            JobSpec::track(Arc::clone(&ds), fast_pipeline(0)).with_deadline(Duration::ZERO),
+        );
+        // a job cancelled before work,
+        let cancelled = service.submit(JobSpec::track(Arc::clone(&ds), fast_pipeline(1)));
+        cancelled.cancel();
+        // an estimation job, and a track job that will hit the cache.
+        tickets.push(service.submit(JobSpec::estimate(
+            Arc::clone(&ds),
+            fast_pipeline(5).chain,
+            5,
+        )));
+        tickets.push(service.submit(JobSpec::track(Arc::clone(&ds), fast_pipeline(0))));
+        service.drain();
+        assert_eq!(late.wait().unwrap_err(), JobError::DeadlineExceeded);
+        assert!(cancelled.try_result().is_some());
+        // A prep-stage shed: a dated cache miss that estimation cannot fit.
+        service
+            .shared
+            .estimate_ewma_ms
+            .store(60_000, Ordering::Relaxed);
+        let shed = service.submit(
+            JobSpec::track(Arc::clone(&ds), fast_pipeline(9)).with_deadline(Duration::from_secs(5)),
+        );
+        match shed.wait() {
+            Err(JobError::Failed(cause)) => assert_eq!(cause.kind(), ErrorKind::Capacity),
+            other => panic!("expected a prep-stage shed, got {other:?}"),
+        }
+        service.drain();
+        for t in &tickets {
+            t.wait().expect("admitted job completes");
+        }
+        assert_eq!(service.upstream(), 0, "every admitted job left upstream");
+        let snap = service.shutdown();
+        assert_eq!(snap.sheds, 1);
+        assert_eq!(snap.deadline_exceeded, 1);
+    }
+
+    #[test]
     fn cancellation_before_work() {
         let service = TractoService::start(small_config());
         let ds = tiny_dataset(3);
@@ -2507,7 +2789,6 @@ mod tests {
             let (journal, recovery) = JobJournal::open(&dir, Tracer::disabled()).unwrap();
             assert!(recovery.jobs.is_empty());
             journal.submitted(5, &wire);
-            journal.admitted(5);
         }
         // Session 2: the restarted service replays the journal and re-runs
         // the job under its original id.

@@ -59,15 +59,12 @@ fn sample_journal(dir: &Path) -> (Vec<String>, Vec<u64>) {
     let (journal, recovery) = JobJournal::open(dir, Tracer::disabled()).unwrap();
     assert!(recovery.jobs.is_empty());
     journal.submitted(1, &wire_job(1));
-    journal.admitted(1);
     journal.completed(1); // finished: must NOT recover
     journal.submitted(2, &wire_job(2));
-    journal.admitted(2);
     journal.checkpointed(2, "abcd1234abcd1234"); // unfinished with checkpoint
     journal.submitted(3, &wire_job(3));
-    journal.admitted(3);
     journal.cancelled(3); // finished
-    journal.submitted(4, &wire_job(4)); // unfinished, never admitted
+    journal.submitted(4, &wire_job(4)); // unfinished, no checkpoint
     let lines: Vec<String> = journal
         .snapshot_text()
         .lines()
@@ -117,7 +114,6 @@ fn journal_mirror_tees_every_record() {
     let (tx, rx) = crossbeam::channel::unbounded();
     journal.set_mirror(tx);
     journal.submitted(7, &wire_job(7));
-    journal.admitted(7);
     journal.completed(7);
     let mut mirrored = Vec::new();
     while let Ok(line) = rx.try_recv() {
@@ -159,7 +155,6 @@ fn member_adopts_a_replicated_journal_on_takeover() {
     let (lines, _) = {
         let (journal, _) = JobJournal::open(&dir.join("dead"), Tracer::disabled()).unwrap();
         journal.submitted(5, &wire_job(11));
-        journal.admitted(5);
         (
             journal
                 .snapshot_text()

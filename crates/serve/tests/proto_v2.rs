@@ -3,6 +3,7 @@
 //! which must leave no staging files behind. The `hello` refusal rule is
 //! covered by `proto_socket.rs`.
 
+use std::collections::{HashMap, HashSet};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -197,6 +198,66 @@ fn late_subscriber_gets_a_synthetic_terminal_event() {
     assert_eq!(ev.job, job);
     assert!(ev.is_terminal());
     assert_eq!(fx.server().poll_requests(), 0);
+}
+
+/// A cache-hit estimation job can be popped and settled the moment it is
+/// queued; a subscriber must still see its `admitted` event first.
+#[test]
+fn admitted_precedes_the_terminal_event_for_every_job() {
+    const JOBS: usize = 1000;
+    let fx = Fixture::start("order");
+    let mut watcher = fx.connect();
+    watcher.subscribe(None).unwrap();
+    let mut client = fx.connect();
+    let mut spec = wire_job();
+    spec.kind = JobKind::Estimate;
+    // Warm the sample cache, so every measured job is a cache hit.
+    let warm = client.submit(spec.clone()).unwrap();
+    let state = client.await_job(warm, None).unwrap();
+    assert!(matches!(state, JobState::Done(_)), "{state:?}");
+
+    // Submit back to back; a full queue answers `capacity`, so back off.
+    let jobs: HashSet<u64> = (0..JOBS)
+        .map(|_| loop {
+            match client.submit(spec.clone()) {
+                Ok(job) => break job,
+                Err(e) if e.kind() == tracto_trace::ErrorKind::Capacity => {
+                    std::thread::sleep(Duration::from_millis(1))
+                }
+                Err(e) => panic!("submit: {e}"),
+            }
+        })
+        .collect();
+    let mut admitted: HashMap<u64, u64> = HashMap::new();
+    let mut terminal: HashMap<u64, u64> = HashMap::new();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while terminal.len() < JOBS {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        assert!(!remaining.is_zero(), "{} of {JOBS} settled", terminal.len());
+        let ev = watcher
+            .next_event(Some(remaining))
+            .unwrap()
+            .expect("event before timeout");
+        if !jobs.contains(&ev.job) {
+            continue;
+        }
+        if ev.kind == "admitted" {
+            admitted.insert(ev.job, ev.seq);
+        } else if ev.is_terminal() {
+            assert_eq!(ev.kind, "completed", "{ev:?}");
+            terminal.insert(ev.job, ev.seq);
+        }
+    }
+    for job in &jobs {
+        let first = admitted
+            .get(job)
+            .unwrap_or_else(|| panic!("job {job} has no admitted event"));
+        let last = terminal[job];
+        assert!(
+            *first < last,
+            "job {job}: admitted seq {first} is not below terminal seq {last}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -4,10 +4,13 @@
 //! seeded chaos schedule (`TRACTO_CHAOS_SEED`, default 1).
 //!
 //! Expensive by design, so it is `#[ignore]`d; CI's `soak` job runs it
-//! with `-- --ignored` across several chaos seeds.
+//! with `-- --ignored` across several chaos seeds. The same job checks
+//! the reactor's idle latency: a run of pings against an idle server must
+//! be answered well inside the reactor's 1 ms idle tick.
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tracto_proto::{
     ChainSpec, DatasetSpec, Endpoint, JobKind, JobState, Outcome, RemoteService, TrackSpec,
 };
@@ -127,6 +130,40 @@ fn hundreds_of_clients_follow_pushed_events_with_zero_polls() {
         reactor_threads()
     );
 
+    server.stop();
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The reactor's longest idle park; a ping must not wait out this tick.
+const IDLE_TICK: Duration = Duration::from_millis(1);
+
+#[test]
+#[ignore = "timing: run in release, via CI's soak job"]
+fn idle_server_answers_pings_inside_the_idle_tick() {
+    let dir: PathBuf = std::env::temp_dir().join(format!("tracto_ping_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let service = Arc::new(TractoService::start(ServiceConfig::default()));
+    let server =
+        SocketServer::bind(Arc::clone(&service), &Endpoint::Unix(dir.join("t.sock"))).unwrap();
+    let mut client = RemoteService::connect(server.endpoint(), "ping-rtt").unwrap();
+    // Let the reactor back off to its longest park first.
+    std::thread::sleep(Duration::from_millis(50));
+    let mut rtts: Vec<Duration> = (0..200)
+        .map(|_| {
+            let t = Instant::now();
+            client.ping().unwrap();
+            t.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let p50 = rtts[rtts.len() / 2];
+    assert!(
+        p50 < IDLE_TICK,
+        "ping p50 {p50:?} over 200 pings is not below the {IDLE_TICK:?} idle tick"
+    );
+    drop(client);
     server.stop();
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);
