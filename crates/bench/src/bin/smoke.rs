@@ -1,5 +1,5 @@
-//! CI bench smoke: a quick-mode regression gate over the two performance
-//! claims the overlap-scheduled execution path makes.
+//! CI bench smoke: quick-mode regression gates over the performance
+//! claims of the overlap-scheduled execution path and the MH loop.
 //!
 //! 1. **Ablation-6 scaling**: stream-overlapped strategy B must scale at
 //!    or above 1.0x at 2 and 4 simulated devices, with per-lane executed
@@ -14,6 +14,14 @@
 //!    unit steps must cost at least `analytic_vs_mcmc_min_speedup` times
 //!    less simulated device time than per-sample MCMC tracking of the
 //!    same dataset. Simulated clock again, so machine-independent.
+//! 4. **MH kernel path**: `run_mcmc_gpu` over one wavefront of voxels that
+//!    all carry gate 2's signal must cost at most
+//!    `mcmc_kernel_vs_cached_loop_max` times a hand-driven cached loop
+//!    over the same 64 chains, each built as the kernel builds it
+//!    (tensor-fit start, one `init`, then `step_loop_incremental`, kept
+//!    samples) — the kernel's own overhead per voxel-loop (cache binds,
+//!    lane bookkeeping), a ratio of two host timings. A kernel that
+//!    rebuilds each chain's cache every loop measures ~1.2–1.6x here.
 //!
 //! Baseline: `crates/bench/baselines/smoke.json`. Exit code 0 = pass.
 
@@ -22,6 +30,7 @@ use tracto::diffusion::posterior::{BallSticksParams, NUM_PARAMETERS};
 use tracto::diffusion::DiffusionModel;
 use tracto::mcmc::cached::{BallSticksCacheBuffers, CachedBallSticks};
 use tracto::mcmc::mh::{AdaptScheme, IncrementalTarget, MhSampler};
+use tracto::mcmc::voxelwise::default_proposal_scales;
 use tracto::phantom::gradients;
 use tracto::prelude::*;
 use tracto::rng::HybridTaus;
@@ -75,8 +84,8 @@ fn check_scaling(failures: &mut Vec<String>) {
     }
 }
 
-/// Gate 2: the cached MH inner loop — identical output, bounded ratio.
-fn check_mh_loop(doc: &Json, failures: &mut Vec<String>) {
+/// Gate 2's protocol and noiseless two-stick signal (gate 4 reuses it).
+fn gate_signal() -> (Acquisition, Vec<f64>) {
     let acq = gradients::default_protocol(1);
     let model = tracto::diffusion::BallSticksModel::new(
         1000.0,
@@ -85,6 +94,18 @@ fn check_mh_loop(doc: &Json, failures: &mut Vec<String>) {
         vec![Vec3::X, Vec3::Y],
     );
     let signal = model.predict_protocol(&acq);
+    (acq, signal)
+}
+
+/// Median of a set of timings.
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(|a, b| a.total_cmp(b));
+    v[v.len() / 2]
+}
+
+/// Gate 2: the cached MH inner loop — identical output, bounded ratio.
+fn check_mh_loop(doc: &Json, failures: &mut Vec<String>) {
+    let (acq, signal) = gate_signal();
     let posterior = BallSticksPosterior::new(&acq, &signal, PriorConfig::default());
     let init = posterior.initial_params().to_array();
     let target =
@@ -137,10 +158,6 @@ fn check_mh_loop(doc: &Json, failures: &mut Vec<String>) {
         plain_ts.push(time_plain());
         cached_ts.push(time_cached());
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.total_cmp(b));
-        v[v.len() / 2]
-    };
     let plain_us = median(&mut plain_ts) / f64::from(MH_LOOPS) * 1e6;
     let cached_us = median(&mut cached_ts) / f64::from(MH_LOOPS) * 1e6;
     let ratio = cached_us / plain_us;
@@ -211,12 +228,108 @@ fn check_analytic_vs_mcmc(doc: &Json, failures: &mut Vec<String>) {
     }
 }
 
+/// Gate 4: Step 1 through the simulated kernel versus the hand-driven
+/// cached loop over the same chains, per voxel-loop. One wavefront (64
+/// lanes on the default device) is one chunk, so the rayon shim runs the
+/// kernel on one thread, as the hand loop runs.
+fn check_mcmc_kernel(doc: &Json, failures: &mut Vec<String>) {
+    let (acq, signal) = gate_signal();
+    let dims = Dim3::new(4, 4, 4);
+    let mut dwi = Volume4::<f32>::zeros(dims, acq.len());
+    for v in 0..dims.len() {
+        for (out, &s) in dwi.voxel_at_mut(v).iter_mut().zip(&signal) {
+            *out = s as f32;
+        }
+    }
+    let mask = Mask::from_fn(dims, |_| true);
+    let config = ChainConfig {
+        num_burnin: MH_LOOPS / 4 - 50,
+        num_samples: 25,
+        sample_interval: 2,
+        adapt: AdaptScheme::paper_default(),
+    };
+    let prior = PriorConfig::default();
+    let seed = 7;
+    let device = DeviceConfig::radeon_5870();
+    assert_eq!(device.wavefront_size, dims.len(), "one wavefront of lanes");
+
+    // The chains run_mcmc_gpu builds, built and run the same way inside
+    // the timed region: every voxel's f32 signal, tensor-fit start,
+    // default scales, its own RNG stream, one cache bind, and the kept
+    // samples. What the ratio leaves is the kernel path's own overhead
+    // (lane and launch bookkeeping, cache binds beyond one per chain),
+    // not per-chain set-up whose share varies from host to host.
+    let time_hand = || {
+        let mut buf = BallSticksCacheBuffers::new();
+        let mut kept = Vec::with_capacity(dims.len() * config.num_samples as usize);
+        let t = Instant::now();
+        for voxel in 0..dims.len() {
+            let signal: Vec<f64> = dwi.voxel_at(voxel).iter().map(|&v| f64::from(v)).collect();
+            let posterior = BallSticksPosterior::new(&acq, &signal, prior);
+            let init = posterior.initial_params();
+            let scales = default_proposal_scales(init.s0);
+            let target = |p: &[f64; NUM_PARAMETERS]| {
+                posterior.log_posterior(&BallSticksParams::from_array(*p))
+            };
+            let mut s = MhSampler::new(&target, init.to_array(), scales, config.adapt);
+            let mut c = CachedBallSticks::new(&posterior, &mut buf);
+            c.init(s.params());
+            let mut rng = HybridTaus::seed_stream(seed, voxel as u64);
+            for done in 1..=config.num_loops() {
+                s.step_loop_incremental(&mut c, &mut rng);
+                if done > config.num_burnin
+                    && (done - config.num_burnin) % config.sample_interval == 0
+                {
+                    kept.push(*s.params());
+                }
+            }
+        }
+        let elapsed = t.elapsed().as_secs_f64();
+        assert_eq!(kept.len(), dims.len() * config.num_samples as usize);
+        elapsed
+    };
+    let time_kernel = || {
+        let mut gpu = Gpu::new(device.clone());
+        let t = Instant::now();
+        run_mcmc_gpu(&mut gpu, &acq, &dwi, &mask, prior, config, seed, 1, None)
+            .expect("fault-free device");
+        t.elapsed().as_secs_f64()
+    };
+    // Seven back-to-back pairs; the gate takes the median of the per-pair
+    // ratios, so drift in host speed between pairs cancels.
+    let (mut hand_ts, mut kernel_ts, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..7 {
+        let (hand, kernel) = (time_hand(), time_kernel());
+        hand_ts.push(hand);
+        kernel_ts.push(kernel);
+        ratios.push(kernel / hand);
+    }
+    let voxel_loops = dims.len() as f64 * f64::from(config.num_loops());
+    let hand_us = median(&mut hand_ts) / voxel_loops * 1e6;
+    let kernel_us = median(&mut kernel_ts) / voxel_loops * 1e6;
+    let ratio = median(&mut ratios);
+    let ceiling = baseline_f64(doc, "mcmc_kernel_vs_cached_loop_max");
+    println!(
+        "mcmc kernel ({} lanes x {} loops): {kernel_us:.2} us per voxel-loop, hand cached \
+         loop {hand_us:.2} us, median pair ratio {ratio:.3} (ceiling {ceiling:.2})",
+        dims.len(),
+        config.num_loops()
+    );
+    if ratio > ceiling {
+        failures.push(format!(
+            "run_mcmc_gpu costs {ratio:.3}x the hand cached loop per voxel-loop \
+             (ceiling {ceiling:.2})"
+        ));
+    }
+}
+
 fn main() {
     let doc = baseline();
     let mut failures = Vec::new();
     check_scaling(&mut failures);
     check_mh_loop(&doc, &mut failures);
     check_analytic_vs_mcmc(&doc, &mut failures);
+    check_mcmc_kernel(&doc, &mut failures);
     if failures.is_empty() {
         println!("bench smoke: PASS");
     } else {

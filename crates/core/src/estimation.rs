@@ -36,6 +36,13 @@ pub struct McmcLane {
 
 /// The MCMC kernel: one `step` = one MH loop (one update of each of the 9
 /// parameters), matching the paper's Fig. 2 inner loop.
+///
+/// Lanes run lane-major: [`run_wavefront`](SimKernel::run_wavefront)
+/// takes each lane through the whole launch budget on one cache bind and
+/// one [`IncrementalTarget::init`] — the paper's "one thread for the MCMC
+/// of one voxel" keeping its chain state across loops — instead of the
+/// default round-robin, which would rebuild the cache before every loop.
+/// Counts, charges and samples equal round-robin's: chains never interact.
 struct McmcKernel<'a> {
     acq: &'a Acquisition,
     prior: PriorConfig,
@@ -59,44 +66,77 @@ impl SimKernel for McmcKernel<'_> {
     }
 
     fn step(&self, lane: &mut McmcLane) -> LaneStatus {
-        let config = self.config;
-        if lane.loops_done >= config.num_loops() {
-            return LaneStatus::Finished;
-        }
-        let posterior = BallSticksPosterior::new(self.acq, &lane.signal, self.prior);
-        // The incremental target re-evaluates only the per-measurement terms
-        // a proposal touches; per rayon worker one buffer set is rebound to
-        // whichever lane the worker is stepping. Bit-identical to the plain
-        // `step_loop` (pinned by `gpu_mcmc_matches_cpu_reference_exactly`).
-        POSTERIOR_CACHE.with(|buf| {
-            let mut buf = buf.borrow_mut();
-            let mut cached = CachedBallSticks::new(&posterior, &mut buf);
-            cached.init(lane.sampler.params());
-            lane.sampler
-                .step_loop_incremental(&mut cached, &mut lane.rng);
-        });
-        lane.loops_done += 1;
-        // Record a sample every L loops after burn-in.
-        if lane.loops_done > config.num_burnin {
-            let since = lane.loops_done - config.num_burnin;
-            if since % config.sample_interval == 0
-                && lane.samples.len() < config.num_samples as usize
-            {
-                lane.samples.push(*lane.sampler.params());
-            }
-        }
-        if lane.loops_done >= config.num_loops() {
+        let (_, finished) =
+            POSTERIOR_CACHE.with(|buf| self.run_lane(lane, 1, &mut buf.borrow_mut()));
+        if finished {
             LaneStatus::Finished
         } else {
             LaneStatus::Continue
         }
     }
+
+    fn run_wavefront(&self, chunk: &mut [McmcLane], max_iters: u32) -> (Vec<u32>, Vec<bool>) {
+        POSTERIOR_CACHE.with(|buf| {
+            let mut buf = buf.borrow_mut();
+            chunk
+                .iter_mut()
+                .map(|lane| self.run_lane(lane, max_iters, &mut buf))
+                .unzip()
+        })
+    }
+}
+
+impl McmcKernel<'_> {
+    /// Run one lane for at most `budget` MH loops on one bind of `buf`:
+    /// returns the loops executed (a call on a finished chain counts one,
+    /// as the round-robin `step` does) and whether the chain finished.
+    fn run_lane(
+        &self,
+        lane: &mut McmcLane,
+        budget: u32,
+        buf: &mut BallSticksCacheBuffers,
+    ) -> (u32, bool) {
+        let config = self.config;
+        if budget == 0 {
+            return (0, false);
+        }
+        if lane.loops_done >= config.num_loops() {
+            return (1, true);
+        }
+        let posterior = BallSticksPosterior::new(self.acq, &lane.signal, self.prior);
+        // The incremental target re-evaluates only the per-measurement terms
+        // a proposal touches; it is built once here and carried across the
+        // lane's loops. Bit-identical to the plain `step_loop` (pinned by
+        // `gpu_mcmc_matches_cpu_reference_exactly`).
+        let mut cached = CachedBallSticks::new(&posterior, buf);
+        cached.init(lane.sampler.params());
+        let mut executed = 0;
+        while executed < budget {
+            executed += 1;
+            lane.sampler
+                .step_loop_incremental(&mut cached, &mut lane.rng);
+            lane.loops_done += 1;
+            // Record a sample every L loops after burn-in.
+            if lane.loops_done > config.num_burnin {
+                let since = lane.loops_done - config.num_burnin;
+                if since % config.sample_interval == 0
+                    && lane.samples.len() < config.num_samples as usize
+                {
+                    lane.samples.push(*lane.sampler.params());
+                }
+            }
+            if lane.loops_done >= config.num_loops() {
+                return (executed, true);
+            }
+        }
+        (executed, false)
+    }
 }
 
 thread_local! {
     /// Reusable cache buffers for [`CachedBallSticks`]: one set per rayon
-    /// worker, rebound to each lane it steps, so the hot loop allocates
-    /// nothing in steady state.
+    /// worker, bound to each lane in turn for that lane's whole run
+    /// through a launch, so the hot loop allocates nothing in steady state.
     static POSTERIOR_CACHE: RefCell<BallSticksCacheBuffers> =
         RefCell::new(BallSticksCacheBuffers::new());
 }
@@ -1146,6 +1186,90 @@ mod tests {
             assert!(resumed.checkpoints > 0, "later segments still snapshot");
             assert_eq!(store.load("job").unwrap(), SnapshotLoad::Missing);
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    fn assert_volumes_eq(a: &SampleVolumes, b: &SampleVolumes, what: &str) {
+        assert_eq!(a.f1, b.f1, "{what}: f1");
+        assert_eq!(a.f2, b.f2, "{what}: f2");
+        assert_eq!(a.th1, b.th1, "{what}: th1");
+        assert_eq!(a.ph1, b.ph1, "{what}: ph1");
+        assert_eq!(a.th2, b.th2, "{what}: th2");
+        assert_eq!(a.ph2, b.ph2, "{what}: ph2");
+    }
+
+    #[test]
+    fn segment_boundaries_leave_step1_bit_identical() {
+        // Each lane binds and initializes its posterior cache once per
+        // launch, so every checkpoint segment boundary is a cache rebuild.
+        // Every schedule must still equal the unsegmented run and the plain
+        // serial reference; every(1) rebuilds before every loop (the old
+        // round-robin schedule), every(num_loops) is one launch.
+        use tracto_diffusion::NoiseLikelihood;
+        let ds = datasets::single_bundle(Dim3::new(6, 4, 4), Some(25.0), 3);
+        let mask = Mask::from_fn(ds.dwi.dims(), |c| c.j == 2 && c.k == 2);
+        let config = ChainConfig::fast_test();
+        let priors = [
+            ("two sticks", PriorConfig::default()),
+            (
+                "one stick (frozen f2/th2/ph2)",
+                PriorConfig {
+                    max_sticks: 1,
+                    ..PriorConfig::default()
+                },
+            ),
+            (
+                "Rician exact fallback",
+                PriorConfig {
+                    likelihood: NoiseLikelihood::Rician,
+                    ..PriorConfig::default()
+                },
+            ),
+        ];
+        for (p, (name, prior)) in priors.into_iter().enumerate() {
+            let cpu = VoxelEstimator::new(&ds.acq, &ds.dwi, &mask, prior, config, 77).run_serial();
+            let run = |checkpoint: Option<(CheckpointPolicy, &PersistentCheckpoint<'_>)>| {
+                run_mcmc_gpu(
+                    &mut small_gpu(),
+                    &ds.acq,
+                    &ds.dwi,
+                    &mask,
+                    prior,
+                    config,
+                    77,
+                    1,
+                    checkpoint,
+                )
+                .unwrap()
+            };
+            let whole = run(None);
+            assert_volumes_eq(
+                &whole.samples,
+                &cpu,
+                &format!("{name}: one launch vs serial"),
+            );
+            for k in [1, 7, config.num_loops()] {
+                let (dir, store) = tmp_store(&format!("seg{p}-{k}"));
+                let persist = PersistentCheckpoint {
+                    store: &store,
+                    key: "seg".to_string(),
+                    tracer: Tracer::disabled(),
+                };
+                let policy = CheckpointPolicy::every(k);
+                let segmented = run(Some((policy, &persist)));
+                let what = format!("{name}: every({k})");
+                assert_volumes_eq(&segmented.samples, &whole.samples, &what);
+                assert_eq!(
+                    segmented.checkpoints as usize,
+                    policy.segments(config.num_loops()).len() - 1,
+                    "{what}"
+                );
+                assert_eq!(
+                    segmented.ledger.useful_iterations, whole.ledger.useful_iterations,
+                    "{what}"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
 

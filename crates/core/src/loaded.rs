@@ -45,6 +45,13 @@ pub fn acq_to_text(acq: &Acquisition) -> String {
 
 /// Parse protocol text (blank lines and `#` comments allowed).
 pub fn acq_from_text(text: &str) -> TractoResult<Acquisition> {
+    let (bvals, grads) = acq_rows(text)?;
+    Ok(Acquisition::new(bvals, grads))
+}
+
+/// The `(bvals, grads)` rows of protocol text, not yet an [`Acquisition`],
+/// so a caller can check the row count before building one.
+fn acq_rows(text: &str) -> TractoResult<(Vec<f64>, Vec<Vec3>)> {
     let mut bvals = Vec::new();
     let mut grads = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -72,7 +79,7 @@ pub fn acq_from_text(text: &str) -> TractoResult<Acquisition> {
     if bvals.is_empty() {
         return Err(TractoError::format("acq text: no measurements"));
     }
-    Ok(Acquisition::new(bvals, grads))
+    Ok((bvals, grads))
 }
 
 fn push_section(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -119,7 +126,10 @@ fn take_section<'a>(rest: &mut &'a [u8], what: &str) -> TractoResult<&'a [u8]> {
 }
 
 /// Parse a TRDS container back into its components, validating shape
-/// consistency (mask dims = dwi dims, acq rows = dwi measurements).
+/// consistency (mask dims = dwi dims, acq rows = dwi measurements) and that
+/// every DWI sample is finite — a NaN or ±∞ would otherwise panic Step 1
+/// (the sampler's support check, the tensor fit) instead of failing the
+/// job with a typed error.
 pub fn decode_trds(bytes: &[u8]) -> TractoResult<(Volume4<f32>, Mask, Acquisition)> {
     let Some(rest) = bytes.strip_prefix(TRDS_MAGIC.as_slice()) else {
         return Err(TractoError::format(
@@ -143,20 +153,33 @@ pub fn decode_trds(bytes: &[u8]) -> TractoResult<(Volume4<f32>, Mask, Acquisitio
     let mask = Mask::threshold(&mask_vol, 0.5);
     let acq_text = std::str::from_utf8(acq_bytes)
         .map_err(|_| TractoError::format("acq section is not UTF-8"))?;
-    let acq = acq_from_text(acq_text)?;
+    let (bvals, grads) = acq_rows(acq_text)?;
     if dwi.dims() != mask.dims() {
         return Err(TractoError::format(
             "TRDS inconsistent: mask dims differ from dwi",
         ));
     }
-    if dwi.nt() != acq.len() {
+    // Checked on the raw rows: the acq section is sized by the upload, not
+    // by the dwi, so no Acquisition is built for rows the dwi cannot use.
+    if dwi.nt() != bvals.len() {
         return Err(TractoError::format(format!(
             "TRDS inconsistent: dwi has {} measurements, acq {}",
             dwi.nt(),
-            acq.len()
+            bvals.len()
         )));
     }
-    Ok((dwi, mask, acq))
+    if let Some(pos) = dwi.as_slice().iter().position(|v| !v.is_finite()) {
+        let c = dwi.dims().coords(pos / dwi.nt());
+        return Err(TractoError::format(format!(
+            "TRDS dwi section: non-finite value {} at voxel ({}, {}, {}), measurement {}",
+            dwi.as_slice()[pos],
+            c.i,
+            c.j,
+            c.k,
+            pos % dwi.nt()
+        )));
+    }
+    Ok((dwi, mask, Acquisition::new(bvals, grads)))
 }
 
 /// Build a runnable [`Dataset`] from loaded components. `name` labels the
@@ -222,7 +245,7 @@ mod tests {
     use super::*;
     use tracto_phantom::datasets;
     use tracto_trace::ErrorKind;
-    use tracto_volume::Dim3;
+    use tracto_volume::{Dim3, Ijk};
 
     #[test]
     fn trds_round_trips_a_phantom_bit_for_bit() {
@@ -273,6 +296,69 @@ mod tests {
         lying[8..16].copy_from_slice(&u64::MAX.to_be_bytes());
         let err = decode_trds(&lying).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Format);
+    }
+
+    #[test]
+    fn non_finite_dwi_samples_are_typed_format_errors() {
+        let ds = datasets::single_bundle(Dim3::new(5, 4, 4), None, 2);
+        let (voxel, t) = (ds.dwi.dims().index(Ijk::new(3, 1, 2)), 4);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut dwi = ds.dwi.clone();
+            dwi.voxel_at_mut(voxel)[t] = bad;
+            // A later bad sample too: the error names the first one.
+            dwi.voxel_at_mut(voxel + 1)[0] = bad;
+            let blob = encode_trds(&dwi, &ds.wm_mask, &ds.acq).unwrap();
+            let err = decode_trds(&blob).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Format, "{bad}");
+            let msg = err.to_string();
+            assert!(msg.contains("non-finite"), "{msg}");
+            assert!(msg.contains("voxel (3, 1, 2), measurement 4"), "{msg}");
+            assert!(msg.contains(&bad.to_string()), "{msg}");
+            assert_eq!(
+                dataset_from_trds("upload:bad", &blob).unwrap_err().kind(),
+                ErrorKind::Format
+            );
+        }
+        // Finite extremes are data, not corruption.
+        let mut dwi = ds.dwi.clone();
+        dwi.voxel_at_mut(voxel)[t] = f32::MAX;
+        let blob = encode_trds(&dwi, &ds.wm_mask, &ds.acq).unwrap();
+        assert!(decode_trds(&blob).is_ok());
+    }
+
+    #[test]
+    fn oversized_acq_section_fails_format_quickly() {
+        // A 1-voxel, 1-measurement dwi with 200 000 acq rows, each its own
+        // b-value: the row-count check must refuse it before any per-row
+        // work beyond parsing.
+        let dims = Dim3::new(1, 1, 1);
+        let dwi = Volume4::<f32>::zeros(dims, 1);
+        let mask = Mask::from_fn(dims, |_| true);
+        let mut dwi_bytes = Vec::new();
+        write_volume4(&mut dwi_bytes, &dwi).unwrap();
+        let mut mask_bytes = Vec::new();
+        write_volume3(
+            &mut mask_bytes,
+            &mask.as_volume().map(|&b| if b { 1.0f32 } else { 0.0 }),
+        )
+        .unwrap();
+        let rows = 200_000;
+        let acq_text: String = (1..=rows).map(|b| format!("{b} 0 0 0\n")).collect();
+        let mut blob = TRDS_MAGIC.to_vec();
+        push_section(&mut blob, &dwi_bytes);
+        push_section(&mut blob, &mask_bytes);
+        push_section(&mut blob, acq_text.as_bytes());
+
+        let t = std::time::Instant::now();
+        let err = dataset_from_trds("upload:wide-acq", &blob).unwrap_err();
+        let took = t.elapsed();
+        assert_eq!(err.kind(), ErrorKind::Format);
+        assert!(
+            err.to_string()
+                .contains(&format!("dwi has 1 measurements, acq {rows}")),
+            "{err}"
+        );
+        assert!(took.as_secs_f64() < 5.0, "refusal took {took:?}");
     }
 
     #[test]

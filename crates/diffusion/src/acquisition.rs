@@ -1,5 +1,7 @@
 //! The DWI acquisition protocol: b-values and gradient directions.
 
+use std::collections::HashMap;
+
 use tracto_volume::Vec3;
 
 /// The experimental parameters of a DWI scan: one `(b, ĝ)` pair per
@@ -9,6 +11,10 @@ use tracto_volume::Vec3;
 pub struct Acquisition {
     bvals: Vec<f64>,
     grads: Vec<Vec3>,
+    /// Distinct b-values (bit-equal ones grouped), in first-seen order.
+    shells: Vec<f64>,
+    /// Per measurement, the index of its b-value in `shells`.
+    shell_of: Vec<usize>,
 }
 
 impl Acquisition {
@@ -26,7 +32,25 @@ impl Acquisition {
             .zip(grads)
             .map(|(&b, g)| if b > 0.0 { g.normalized() } else { g })
             .collect();
-        Acquisition { bvals, grads }
+        // Keyed on the bits, so grouping stays linear in the measurement
+        // count however many distinct b-values an uploaded protocol holds.
+        let mut shells: Vec<f64> = Vec::new();
+        let mut shell_by_bits: HashMap<u64, usize> = HashMap::new();
+        let shell_of = bvals
+            .iter()
+            .map(|&b| {
+                *shell_by_bits.entry(b.to_bits()).or_insert_with(|| {
+                    shells.push(b);
+                    shells.len() - 1
+                })
+            })
+            .collect();
+        Acquisition {
+            bvals,
+            grads,
+            shells,
+            shell_of,
+        }
     }
 
     /// Number of measurements (the `n` of the 4-D input volume).
@@ -63,6 +87,22 @@ impl Acquisition {
     #[inline]
     pub fn grads(&self) -> &[Vec3] {
         &self.grads
+    }
+
+    /// The b-shells: distinct b-values, bit-equal ones grouped, in the
+    /// order they first appear. Any per-measurement quantity that depends
+    /// on the b-value alone (the ball compartment's `exp(-b·d)`) is the
+    /// same bits for every measurement of a shell, so it can be computed
+    /// once per shell.
+    #[inline]
+    pub fn shells(&self) -> &[f64] {
+        &self.shells
+    }
+
+    /// Per measurement, the index of its b-value in [`shells`](Self::shells).
+    #[inline]
+    pub fn shell_indices(&self) -> &[usize] {
+        &self.shell_of
     }
 
     /// Indices of b=0 (non-diffusion-weighted) measurements.
@@ -137,6 +177,53 @@ mod tests {
     fn mean_b0_without_b0_falls_back_to_max() {
         let a = Acquisition::new(vec![1000.0, 1000.0], vec![Vec3::X, Vec3::Y]);
         assert_eq!(a.mean_b0(&[10.0, 30.0]), 30.0);
+    }
+
+    #[test]
+    fn shells_group_bit_equal_bvalues_in_first_seen_order() {
+        let a = Acquisition::new(
+            vec![
+                1000.0,
+                0.0,
+                2000.0,
+                1000.0,
+                0.0,
+                -0.0,
+                2000.0,
+                1000.0 + 1e-9,
+            ],
+            vec![Vec3::X; 8],
+        );
+        // -0.0 == 0.0 numerically but not bitwise, so it is its own shell;
+        // so is a b-value 1e-9 away from 1000.
+        assert_eq!(a.shells().len(), 5);
+        assert_eq!(a.shells()[..3], [1000.0, 0.0, 2000.0]);
+        assert_eq!(a.shells()[3].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(a.shells()[4], 1000.0 + 1e-9);
+        assert_eq!(a.shell_indices(), &[0, 1, 2, 0, 1, 3, 2, 4]);
+        for i in 0..a.len() {
+            assert_eq!(
+                a.shells()[a.shell_indices()[i]].to_bits(),
+                a.bval(i).to_bits()
+            );
+        }
+        assert_eq!(protocol().shells(), &[0.0, 1000.0]);
+    }
+
+    #[test]
+    fn many_distinct_bvalues_group_in_linear_time() {
+        // One shell per measurement: a quadratic grouping would make
+        // ~2·10^10 comparisons here.
+        let n = 200_000;
+        let t = std::time::Instant::now();
+        let a = Acquisition::new((0..n).map(f64::from).collect(), vec![Vec3::X; n as usize]);
+        assert_eq!(a.shells().len(), n as usize);
+        assert!(a.shell_indices().iter().enumerate().all(|(i, &s)| i == s));
+        assert!(
+            t.elapsed().as_secs_f64() < 5.0,
+            "grouping {n} distinct b-values took {:?}",
+            t.elapsed()
+        );
     }
 
     #[test]

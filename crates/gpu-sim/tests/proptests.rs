@@ -17,6 +17,31 @@ impl SimKernel for Countdown {
     }
 }
 
+/// [`Countdown`] with a lane-major `run_wavefront` override: each lane
+/// runs through the whole budget before the next starts.
+struct LaneMajorCountdown;
+impl SimKernel for LaneMajorCountdown {
+    type Lane = u32;
+    fn step(&self, lane: &mut u32) -> LaneStatus {
+        Countdown.step(lane)
+    }
+    fn run_wavefront(&self, chunk: &mut [u32], max_iters: u32) -> (Vec<u32>, Vec<bool>) {
+        chunk
+            .iter_mut()
+            .map(|lane| {
+                let mut executed = 0;
+                while executed < max_iters {
+                    executed += 1;
+                    if self.step(lane) == LaneStatus::Finished {
+                        return (executed, true);
+                    }
+                }
+                (executed, false)
+            })
+            .unzip()
+    }
+}
+
 fn device(wavefront: usize) -> DeviceConfig {
     DeviceConfig {
         wavefront_size: wavefront,
@@ -27,6 +52,33 @@ fn device(wavefront: usize) -> DeviceConfig {
 }
 
 proptest! {
+    #[test]
+    fn lane_major_run_wavefront_matches_the_round_robin_default(
+        loads in prop::collection::vec(0u32..120, 1..150),
+        wavefront in 1usize..20,
+        budgets in prop::collection::vec(0u32..60, 1..6),
+    ) {
+        // The `run_wavefront` contract: a kernel may pick its host order,
+        // but per-lane counts, finish flags, lockstep charges, simulated
+        // kernel time and lane results must equal the round-robin default,
+        // launch by launch, over any split of the work into budgets.
+        let mut round_robin = Gpu::new(device(wavefront));
+        let mut lane_major = Gpu::new(device(wavefront));
+        let mut a = loads.clone();
+        let mut b = loads.clone();
+        for &budget in &budgets {
+            let sa = round_robin.launch(&Countdown, &mut a, budget);
+            let sb = lane_major.launch(&LaneMajorCountdown, &mut b, budget);
+            prop_assert_eq!(&sa.executed, &sb.executed, "budget {}", budget);
+            prop_assert_eq!(&sa.finished, &sb.finished);
+            prop_assert_eq!(sa.charged_iterations, sb.charged_iterations);
+            prop_assert_eq!(sa.useful_iterations, sb.useful_iterations);
+            prop_assert_eq!(sa.kernel_s.to_bits(), sb.kernel_s.to_bits());
+            prop_assert_eq!(&a, &b);
+        }
+        prop_assert_eq!(round_robin.clock_s().to_bits(), lane_major.clock_s().to_bits());
+    }
+
     #[test]
     fn executed_never_exceeds_budget(
         loads in prop::collection::vec(1u32..500, 1..200),

@@ -10,14 +10,22 @@
 //! | coordinate      | recomputed per measurement                  |
 //! |-----------------|---------------------------------------------|
 //! | `S₀`, `f₁`, `f₂`| signal recombination + residual only (0 exp)|
-//! | `d`             | all three exponentials                      |
+//! | `d`             | both stick exponentials (ball: one per shell)|
 //! | `σ`             | nothing (closed form from the cached SSE)   |
 //! | `θ₁`, `φ₁`      | stick-1 projection + exponential            |
 //! | `θ₂`, `φ₂`      | stick-2 projection + exponential            |
 //!
+//! Transcendentals whose values the cache already holds are not redone:
+//! the ball term `exp(-b·d)` depends on the b-value alone, so it is
+//! evaluated once per b-shell
+//! ([`Acquisition::shells`](tracto_diffusion::Acquisition::shells)); and each stick's
+//! committed `(sin θ, cos θ, sin φ, cos φ)` is kept, so a θ move computes
+//! only θ's `sin_cos` (and takes the prior's `sin θ` from it) and a φ move
+//! only φ's.
+//!
 //! Every staged expression is written exactly as the plain evaluation
-//! writes it (same literals, same association), so the cached chain is
-//! **bit-identical** to the serialized one — the property
+//! writes it (same literals, same association, same inputs), so the
+//! cached chain is **bit-identical** to the serialized one — the property
 //! `tests::cached_chain_matches_plain_chain_exactly` pins down.
 //!
 //! The Rician likelihood couples σ into every per-measurement term, so it
@@ -27,6 +35,24 @@
 use crate::mh::IncrementalTarget;
 use tracto_diffusion::posterior::{param_index, NUM_PARAMETERS};
 use tracto_diffusion::{BallSticksParams, BallSticksPosterior, NoiseLikelihood};
+use tracto_volume::Vec3;
+
+/// `(sin θ, cos θ, sin φ, cos φ)` of one stick.
+type StickTrig = [f64; 4];
+
+/// The trig of `(θ, φ)` — the `sin_cos` pair [`Vec3::from_spherical`]
+/// takes of each angle.
+fn stick_trig(theta: f64, phi: f64) -> StickTrig {
+    let (st, ct) = theta.sin_cos();
+    let (sp, cp) = phi.sin_cos();
+    [st, ct, sp, cp]
+}
+
+/// The stick direction from its trig: the same expression as
+/// [`Vec3::from_spherical`], so the same bits.
+fn stick_dir([st, ct, sp, cp]: StickTrig) -> Vec3 {
+    Vec3::new(st * cp, st * sp, ct)
+}
 
 /// Which staged buffers a pending proposal holds, i.e. what
 /// [`accept`](IncrementalTarget::accept) must fold into the committed
@@ -48,8 +74,8 @@ enum Pending {
 
 /// Owned, reusable buffers for one [`CachedBallSticks`] target. Keeping
 /// them separate from the borrowing adapter lets a driver hold one set per
-/// thread and rebind it to a different voxel's posterior each step without
-/// reallocating.
+/// thread and rebind it to one voxel's posterior after another without
+/// reallocating (Step 1 binds it once per lane per kernel launch).
 #[derive(Debug, Clone, Default)]
 pub struct BallSticksCacheBuffers {
     // Committed per-measurement terms at the chain's current position.
@@ -59,6 +85,10 @@ pub struct BallSticksCacheBuffers {
     e1: Vec<f64>,
     e2: Vec<f64>,
     sse: f64,
+    // Committed trig of stick 1 and stick 2.
+    trig: [StickTrig; 2],
+    // Scratch: the ball exponential per b-shell.
+    shell_iso: Vec<f64>,
     // Staged terms for the in-flight proposal.
     s_p1: Vec<f64>,
     s_p2: Vec<f64>,
@@ -66,6 +96,8 @@ pub struct BallSticksCacheBuffers {
     s_e1: Vec<f64>,
     s_e2: Vec<f64>,
     s_sse: f64,
+    // Staged trig of the moved stick (`Stick1` / `Stick2` pending).
+    s_trig: StickTrig,
     pending: Pending,
     // Committed prior terms `[ln sin θ₁, ln sin θ₂, ln σ, ARD]` — a
     // proposal touches at most one, so the rest never re-pay their
@@ -82,7 +114,8 @@ impl BallSticksCacheBuffers {
         BallSticksCacheBuffers::default()
     }
 
-    fn resize(&mut self, n: usize) {
+    fn resize(&mut self, n: usize, shells: usize) {
+        self.shell_iso.resize(shells, 0.0);
         self.p1.resize(n, 0.0);
         self.p2.resize(n, 0.0);
         self.iso.resize(n, 0.0);
@@ -99,7 +132,8 @@ impl BallSticksCacheBuffers {
 }
 
 /// [`IncrementalTarget`] adapter binding a voxel's posterior to a set of
-/// cache buffers for the duration of one chain run (or one kernel step).
+/// cache buffers for the duration of one chain run (or one lane's run
+/// through a kernel launch).
 #[derive(Debug)]
 pub struct CachedBallSticks<'a> {
     post: &'a BallSticksPosterior<'a>,
@@ -174,6 +208,16 @@ impl<'a> CachedBallSticks<'a> {
         }
         sse
     }
+
+    /// Fill `shell_iso` with the ball term `exp(-b·d)` of each b-shell —
+    /// the expression the plain evaluation writes per measurement, on the
+    /// same bits, so every measurement of a shell gets the same value.
+    fn ball_per_shell(&mut self, d: f64) {
+        let acq = self.post.acquisition();
+        for (out, &b) in self.buf.shell_iso.iter_mut().zip(acq.shells()) {
+            *out = (-b * d).exp();
+        }
+    }
 }
 
 impl IncrementalTarget<NUM_PARAMETERS> for CachedBallSticks<'_> {
@@ -188,16 +232,18 @@ impl IncrementalTarget<NUM_PARAMETERS> for CachedBallSticks<'_> {
         }
         let acq = self.post.acquisition();
         let n = self.post.signal().len();
-        self.buf.resize(n);
-        let dir1 = p.dir1();
-        let dir2 = p.dir2();
+        self.buf.resize(n, acq.shells().len());
+        self.buf.trig = [stick_trig(p.th1, p.ph1), stick_trig(p.th2, p.ph2)];
+        let dir1 = stick_dir(self.buf.trig[0]);
+        let dir2 = stick_dir(self.buf.trig[1]);
+        self.ball_per_shell(p.d);
         let mut sse = 0.0;
         for (i, &y) in self.post.signal().iter().enumerate() {
             let b = acq.bval(i);
             let g = acq.grad(i);
             let p1 = g.dot(dir1);
             let p2 = g.dot(dir2);
-            let iso = (-b * p.d).exp();
+            let iso = self.buf.shell_iso[acq.shell_indices()[i]];
             let e1 = (-b * p.d * p1 * p1).exp();
             let e2 = (-b * p.d * p2 * p2).exp();
             self.buf.p1[i] = p1;
@@ -212,8 +258,8 @@ impl IncrementalTarget<NUM_PARAMETERS> for CachedBallSticks<'_> {
         self.buf.sse = sse;
         self.buf.pending = Pending::Nothing;
         self.buf.prior_terms = [
-            p.th1.sin().abs().ln(),
-            p.th2.sin().abs().ln(),
+            self.buf.trig[0][0].abs().ln(),
+            self.buf.trig[1][0].abs().ln(),
             p.sigma.ln(),
             match self.post.prior().ard_weight {
                 Some(w) => w * (1.0 - p.f2).ln(),
@@ -239,17 +285,28 @@ impl IncrementalTarget<NUM_PARAMETERS> for CachedBallSticks<'_> {
         }
         // Stage the one prior term coordinate `j` can touch (a rejected
         // θ with `sin θ ≤ 0` short-circuits exactly as the plain prior).
+        // A direction move stages its stick's trig, recomputing only the
+        // moved angle's `sin_cos`; the other angle keeps its committed pair.
         let staged = match j {
             param_index::TH1 | param_index::TH2 => {
-                let s = if j == param_index::TH1 { p.th1 } else { p.th2 }
-                    .sin()
-                    .abs();
+                let k = usize::from(j == param_index::TH2);
+                let (st, ct) = if k == 0 { p.th1 } else { p.th2 }.sin_cos();
+                let [_, _, sp, cp] = self.buf.trig[k];
+                self.buf.s_trig = [st, ct, sp, cp];
+                let s = st.abs();
                 if s <= 0.0 {
                     self.buf.pending = Pending::Nothing;
                     self.buf.staged_prior = None;
                     return f64::NEG_INFINITY;
                 }
-                Some((usize::from(j == param_index::TH2), s.ln()))
+                Some((k, s.ln()))
+            }
+            param_index::PH1 | param_index::PH2 => {
+                let k = usize::from(j == param_index::PH2);
+                let (sp, cp) = if k == 0 { p.ph1 } else { p.ph2 }.sin_cos();
+                let [st, ct, _, _] = self.buf.trig[k];
+                self.buf.s_trig = [st, ct, sp, cp];
+                None
             }
             param_index::SIGMA => Some((2, p.sigma.ln())),
             param_index::F2 => self
@@ -277,18 +334,20 @@ impl IncrementalTarget<NUM_PARAMETERS> for CachedBallSticks<'_> {
                 lp + self.gaussian_ll(p.sigma, sigma_ln, self.buf.s_sse)
             }
             param_index::D => {
+                self.ball_per_shell(p.d);
                 let buf = &mut *self.buf;
                 let mut sse = 0.0;
-                for ((((&y, &b), (&p1, &p2)), iso_out), (e1_out, e2_out)) in self
+                for (((((&y, &b), &shell), (&p1, &p2)), iso_out), (e1_out, e2_out)) in self
                     .post
                     .signal()
                     .iter()
                     .zip(acq.bvals())
+                    .zip(acq.shell_indices())
                     .zip(buf.p1.iter().zip(&buf.p2))
                     .zip(buf.s_iso.iter_mut())
                     .zip(buf.s_e1.iter_mut().zip(buf.s_e2.iter_mut()))
                 {
-                    let iso = (-b * p.d).exp();
+                    let iso = buf.shell_iso[shell];
                     let e1 = (-b * p.d * p1 * p1).exp();
                     let e2 = (-b * p.d * p2 * p2).exp();
                     *iso_out = iso;
@@ -303,7 +362,7 @@ impl IncrementalTarget<NUM_PARAMETERS> for CachedBallSticks<'_> {
                 lp + self.gaussian_ll(p.sigma, sigma_ln, sse)
             }
             param_index::TH1 | param_index::PH1 => {
-                let dir1 = p.dir1();
+                let dir1 = stick_dir(self.buf.s_trig);
                 let buf = &mut *self.buf;
                 let mut sse = 0.0;
                 for (((((&y, &b), g), (&iso, &e2)), p1_out), e1_out) in self
@@ -329,7 +388,7 @@ impl IncrementalTarget<NUM_PARAMETERS> for CachedBallSticks<'_> {
                 lp + self.gaussian_ll(p.sigma, sigma_ln, sse)
             }
             param_index::TH2 | param_index::PH2 => {
-                let dir2 = p.dir2();
+                let dir2 = stick_dir(self.buf.s_trig);
                 let buf = &mut *self.buf;
                 let mut sse = 0.0;
                 for (((((&y, &b), g), (&iso, &e1)), p2_out), e2_out) in self
@@ -372,11 +431,13 @@ impl IncrementalTarget<NUM_PARAMETERS> for CachedBallSticks<'_> {
                 self.buf.sse = self.buf.s_sse;
             }
             Pending::Stick1 => {
+                self.buf.trig[0] = self.buf.s_trig;
                 std::mem::swap(&mut self.buf.p1, &mut self.buf.s_p1);
                 std::mem::swap(&mut self.buf.e1, &mut self.buf.s_e1);
                 self.buf.sse = self.buf.s_sse;
             }
             Pending::Stick2 => {
+                self.buf.trig[1] = self.buf.s_trig;
                 std::mem::swap(&mut self.buf.p2, &mut self.buf.s_p2);
                 std::mem::swap(&mut self.buf.e2, &mut self.buf.s_e2);
                 self.buf.sse = self.buf.s_sse;

@@ -1,6 +1,6 @@
 //! Generic per-parameter Metropolis–Hastings machinery.
 
-use tracto_rng::{box_muller_pair, RandomSource};
+use tracto_rng::{box_muller_cos, RandomSource};
 
 /// A log-density target over an `N`-dimensional parameter vector.
 ///
@@ -200,8 +200,11 @@ impl<const N: usize> MhSampler<N> {
         out
     }
 
-    /// Acceptance rates of the most recent *complete* adaptation window —
-    /// falls back to the live counters when no window has completed yet.
+    /// The rates the chain reports as its final acceptance: the live
+    /// counters ([`acceptance_rates`](Self::acceptance_rates)) whenever any
+    /// proposal has been made since the last adaptation reset, and the
+    /// rates of the last complete adaptation window only when the counters
+    /// were just reset (nothing proposed since). No blending happens.
     pub fn recent_acceptance_rates(&self) -> [f64; N] {
         if self.proposed.iter().any(|&p| p > 0) && self.last_window_rates.iter().all(|&r| r == 0.0)
         {
@@ -209,8 +212,7 @@ impl<const N: usize> MhSampler<N> {
         } else if self.proposed.iter().all(|&p| p == 0) {
             self.last_window_rates
         } else {
-            // Mid-window: blend toward the live counts, which dominate once
-            // enough proposals accumulate.
+            // Mid-window: the live counters, as above.
             self.acceptance_rates()
         }
     }
@@ -219,8 +221,9 @@ impl<const N: usize> MhSampler<N> {
     /// accept with probability `min(1, r)` where
     /// `r = P(ω′|Y)/P(ω|Y)` (paper Section III-A-2).
     ///
-    /// Uses three uniform draws: two through Box–Muller for the proposal,
-    /// one for the accept test — the paper's "3 random numbers" per step.
+    /// Uses three uniform draws: two through Box–Muller for the proposal
+    /// (only its cosine variate is used), one for the accept test — the
+    /// paper's "3 random numbers" per step.
     #[inline]
     pub fn step_param<T: Target<N>, R: RandomSource>(
         &mut self,
@@ -228,7 +231,7 @@ impl<const N: usize> MhSampler<N> {
         rng: &mut R,
         j: usize,
     ) -> bool {
-        let (z, _) = box_muller_pair(rng.next_f64(), rng.next_f64());
+        let z = box_muller_cos(rng.next_f64(), rng.next_f64());
         let old = self.params[j];
         self.params[j] = old + self.scales[j] * z;
         let new_ld = target.log_density(&self.params);
@@ -287,7 +290,7 @@ impl<const N: usize> MhSampler<N> {
         rng: &mut R,
         j: usize,
     ) -> bool {
-        let (z, _) = box_muller_pair(rng.next_f64(), rng.next_f64());
+        let z = box_muller_cos(rng.next_f64(), rng.next_f64());
         let old = self.params[j];
         self.params[j] = old + self.scales[j] * z;
         let new_ld = target.propose(j, &self.params);

@@ -70,6 +70,17 @@ pub fn box_muller_pair(u1: f64, u2: f64) -> (f64, f64) {
     (r * c, r * s)
 }
 
+/// The first variate of [`box_muller_pair`] alone, `r · cos(2π u₂)`, for
+/// callers that discard the second: it skips the `sin` and is bit-equal to
+/// `box_muller_pair(u1, u2).0` (the pair's `sin_cos` is a `sin` and a
+/// `cos` of the same argument).
+#[inline]
+pub fn box_muller_cos(u1: f64, u2: f64) -> f64 {
+    debug_assert!(u1 > 0.0 && u1 < 1.0 && u2 > 0.0 && u2 < 1.0);
+    let r = (-2.0 * u1.ln()).sqrt();
+    r * (std::f64::consts::TAU * u2).cos()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,6 +137,30 @@ mod tests {
         assert!(a.is_finite() && b.is_finite());
         let (a, b) = box_muller_pair(1.0 - 1e-16, 1.0 - 1e-16);
         assert!(a.is_finite() && b.is_finite());
+    }
+
+    #[test]
+    fn cos_only_draw_is_bit_equal_to_the_pair_first_variate() {
+        let mut g = HybridTaus::new(31);
+        for _ in 0..100_000 {
+            let u1 = crate::RandomSource::next_f64(&mut g);
+            let u2 = crate::RandomSource::next_f64(&mut g);
+            assert_eq!(
+                box_muller_cos(u1, u2).to_bits(),
+                box_muller_pair(u1, u2).0.to_bits(),
+                "u1 {u1:e}, u2 {u2:e}"
+            );
+        }
+        for (u1, u2) in [
+            (f64::MIN_POSITIVE, 0.5),
+            (1.0 - 1e-16, 1.0 - 1e-16),
+            (0.5, 0.25),
+        ] {
+            assert_eq!(
+                box_muller_cos(u1, u2).to_bits(),
+                box_muller_pair(u1, u2).0.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod dist;
 mod boxmuller;
 mod taus;
 
-pub use boxmuller::{box_muller_pair, BoxMuller};
+pub use boxmuller::{box_muller_cos, box_muller_pair, BoxMuller};
 pub use taus::HybridTaus;
 
 /// A deterministic source of uniform random `u32`s / floats.

@@ -321,6 +321,38 @@ fn submitting_an_unknown_upload_hash_fails_typed() {
 }
 
 #[test]
+fn non_finite_upload_fails_its_job_typed_and_the_server_keeps_serving() {
+    let fx = Fixture::start("nonfinite");
+    let mut client = fx.connect();
+    let ds = datasets::single_bundle(Dim3::new(6, 5, 4), None, 7);
+    let voxel = ds.wm_mask.indices()[0];
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut dwi = ds.dwi.clone();
+        dwi.voxel_at_mut(voxel)[1] = bad;
+        let hash = client
+            .upload(&encode_trds(&dwi, &ds.wm_mask, &ds.acq).unwrap())
+            .unwrap();
+        let job = client.submit(wire_job_for_upload(&hash)).unwrap();
+        // Bounded: a job whose worker panicked would never settle.
+        match client.await_job(job, Some(60_000)).unwrap() {
+            JobState::Failed { kind, message } => {
+                assert_eq!(kind, "format", "{bad}: {message}");
+                assert!(message.contains("non-finite"), "{bad}: {message}");
+            }
+            other => panic!("{bad}: expected a format failure, got {other:?}"),
+        }
+    }
+    // The same server still runs the next job to completion.
+    let hash = client.upload(&trds_blob()).unwrap();
+    let job = client.submit(wire_job_for_upload(&hash)).unwrap();
+    let state = client.await_job(job, Some(60_000)).unwrap();
+    assert!(
+        matches!(state, JobState::Done(Outcome::Track { .. })),
+        "clean upload after the bad ones: {state:?}"
+    );
+}
+
+#[test]
 fn hostile_upload_chunks_are_typed_errors_and_survivable() {
     let fx = Fixture::start("hostile");
     let mut stream = fx.raw();
