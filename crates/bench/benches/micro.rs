@@ -75,23 +75,31 @@ fn bench_posterior(c: &mut Criterion) {
         })
     });
     g.bench_function("mh_full_loop_9_params_cached", |b| {
-        use tracto::mcmc::cached::{BallSticksCacheBuffers, CachedBallSticks};
-        use tracto::mcmc::mh::IncrementalTarget;
+        use tracto::mcmc::cached::{WavefrontBallSticks, WavefrontLane};
+        struct Lane<'a>(&'a [f64], MhSampler<NUM_PARAMETERS>, HybridTaus);
+        impl WavefrontLane for Lane<'_> {
+            type Rng = HybridTaus;
+            fn signal(&self) -> &[f64] {
+                self.0
+            }
+            fn chain(&mut self) -> (&mut MhSampler<NUM_PARAMETERS>, &mut HybridTaus) {
+                (&mut self.1, &mut self.2)
+            }
+        }
         let target =
             |p: &[f64; NUM_PARAMETERS]| posterior.log_posterior(&BallSticksParams::from_array(*p));
-        let mut sampler = MhSampler::new(
+        let sampler = MhSampler::new(
             &target,
             params.to_array(),
             [0.01; NUM_PARAMETERS],
             AdaptScheme::paper_default(),
         );
-        let mut buf = BallSticksCacheBuffers::new();
-        let mut cached = CachedBallSticks::new(&posterior, &mut buf);
-        cached.init(sampler.params());
-        let mut rng = HybridTaus::new(7);
+        let mut lanes = [Lane(posterior.signal(), sampler, HybridTaus::new(7))];
+        let mut cache = WavefrontBallSticks::new();
+        cache.bind(posterior.acquisition(), posterior.prior(), &mut lanes);
         b.iter(|| {
-            sampler.step_loop_incremental(&mut cached, &mut rng);
-            black_box(sampler.log_density())
+            cache.step_loop(posterior.acquisition(), &mut lanes, &[true]);
+            black_box(lanes[0].1.log_density())
         })
     });
     g.finish();

@@ -5,8 +5,9 @@
 //!    or above 1.0x at 2 and 4 simulated devices, with per-lane executed
 //!    iteration counts bit-identical to the serialized host loop. These
 //!    run on the simulated clock, so they are machine-independent.
-//! 2. **MH inner loop**: the cached incremental loop must stay at or
-//!    below its committed cached/plain time ratio (+10% tolerance) and
+//! 2. **MH inner loop**: the wavefront sweep
+//!    ([`WavefrontBallSticks`]) driving one chain (width 1) must stay at
+//!    or below its committed cached/plain time ratio (+10% tolerance) and
 //!    below the 0.5 ceiling (the 2x acceptance bar), with bit-identical
 //!    chain output for a fixed seed. Ratios divide out machine speed, so
 //!    the committed baseline is portable across CI hosts.
@@ -16,20 +17,20 @@
 //!    same dataset. Simulated clock again, so machine-independent.
 //! 4. **MH kernel path**: `run_mcmc_gpu` over one wavefront of voxels that
 //!    all carry gate 2's signal must cost at most
-//!    `mcmc_kernel_vs_cached_loop_max` times a hand-driven cached loop
+//!    `mcmc_kernel_vs_cached_loop_max` times a hand-driven wavefront sweep
 //!    over the same 64 chains, each built as the kernel builds it
-//!    (tensor-fit start, one `init`, then `step_loop_incremental`, kept
+//!    (tensor-fit start, one `bind`, then lockstep `step_loop`s, kept
 //!    samples) — the kernel's own overhead per voxel-loop (cache binds,
 //!    lane bookkeeping), a ratio of two host timings. A kernel that
-//!    rebuilds each chain's cache every loop measures ~1.2–1.6x here.
+//!    rebuilds the cache every loop measures ~1.2–1.6x here.
 //!
 //! Baseline: `crates/bench/baselines/smoke.json`. Exit code 0 = pass.
 
 use std::time::Instant;
 use tracto::diffusion::posterior::{BallSticksParams, NUM_PARAMETERS};
 use tracto::diffusion::DiffusionModel;
-use tracto::mcmc::cached::{BallSticksCacheBuffers, CachedBallSticks};
-use tracto::mcmc::mh::{AdaptScheme, IncrementalTarget, MhSampler};
+use tracto::mcmc::cached::{WavefrontBallSticks, WavefrontLane};
+use tracto::mcmc::mh::{AdaptScheme, MhSampler};
 use tracto::mcmc::voxelwise::default_proposal_scales;
 use tracto::phantom::gradients;
 use tracto::prelude::*;
@@ -97,13 +98,33 @@ fn gate_signal() -> (Acquisition, Vec<f64>) {
     (acq, signal)
 }
 
+/// One hand-driven chain of the wavefront sweep.
+struct Lane {
+    signal: Vec<f64>,
+    sampler: MhSampler<NUM_PARAMETERS>,
+    rng: HybridTaus,
+}
+
+impl WavefrontLane for Lane {
+    type Rng = HybridTaus;
+
+    fn signal(&self) -> &[f64] {
+        &self.signal
+    }
+
+    fn chain(&mut self) -> (&mut MhSampler<NUM_PARAMETERS>, &mut HybridTaus) {
+        (&mut self.sampler, &mut self.rng)
+    }
+}
+
 /// Median of a set of timings.
 fn median(v: &mut [f64]) -> f64 {
     v.sort_by(|a, b| a.total_cmp(b));
     v[v.len() / 2]
 }
 
-/// Gate 2: the cached MH inner loop — identical output, bounded ratio.
+/// Gate 2: the MH inner loop on the wavefront sweep at width 1 —
+/// identical output, bounded ratio.
 fn check_mh_loop(doc: &Json, failures: &mut Vec<String>) {
     let (acq, signal) = gate_signal();
     let posterior = BallSticksPosterior::new(&acq, &signal, PriorConfig::default());
@@ -118,16 +139,19 @@ fn check_mh_loop(doc: &Json, failures: &mut Vec<String>) {
     for _ in 0..MH_LOOPS {
         plain.step_loop(&target, &mut rng);
     }
-    let mut cached_s = MhSampler::new(&target, init, [0.01; NUM_PARAMETERS], scheme());
-    let mut buf = BallSticksCacheBuffers::new();
-    let mut cached = CachedBallSticks::new(&posterior, &mut buf);
-    cached.init(cached_s.params());
-    let mut rng = HybridTaus::new(7);
+    let lane = || Lane {
+        signal: signal.clone(),
+        sampler: MhSampler::new(&target, init, [0.01; NUM_PARAMETERS], scheme()),
+        rng: HybridTaus::new(7),
+    };
+    let mut cached = [lane()];
+    let mut cache = WavefrontBallSticks::new();
+    cache.bind(&acq, PriorConfig::default(), &mut cached);
     for _ in 0..MH_LOOPS {
-        cached_s.step_loop_incremental(&mut cached, &mut rng);
+        cache.step_loop(&acq, &mut cached, &[true]);
     }
-    if plain.params() != cached_s.params() || plain.log_density() != cached_s.log_density() {
-        failures.push("cached MH loop diverged from the plain sampler".into());
+    if plain.snapshot() != cached[0].sampler.snapshot() {
+        failures.push("wavefront MH loop diverged from the plain sampler".into());
     }
 
     // Timing: median of 5 passes each, interleaved to share thermal state.
@@ -141,14 +165,12 @@ fn check_mh_loop(doc: &Json, failures: &mut Vec<String>) {
         t.elapsed().as_secs_f64()
     };
     let time_cached = || {
-        let mut s = MhSampler::new(&target, init, [0.01; NUM_PARAMETERS], scheme());
-        let mut buf = BallSticksCacheBuffers::new();
-        let mut c = CachedBallSticks::new(&posterior, &mut buf);
-        c.init(s.params());
-        let mut rng = HybridTaus::new(7);
+        let mut lanes = [lane()];
+        let mut cache = WavefrontBallSticks::new();
+        cache.bind(&acq, PriorConfig::default(), &mut lanes);
         let t = Instant::now();
         for _ in 0..MH_LOOPS {
-            s.step_loop_incremental(&mut c, &mut rng);
+            cache.step_loop(&acq, &mut lanes, &[true]);
         }
         t.elapsed().as_secs_f64()
     };
@@ -229,7 +251,7 @@ fn check_analytic_vs_mcmc(doc: &Json, failures: &mut Vec<String>) {
 }
 
 /// Gate 4: Step 1 through the simulated kernel versus the hand-driven
-/// cached loop over the same chains, per voxel-loop. One wavefront (64
+/// wavefront sweep over the same chains, per voxel-loop. One wavefront (64
 /// lanes on the default device) is one chunk, so the rayon shim runs the
 /// kernel on one thread, as the hand loop runs.
 fn check_mcmc_kernel(doc: &Json, failures: &mut Vec<String>) {
@@ -255,33 +277,38 @@ fn check_mcmc_kernel(doc: &Json, failures: &mut Vec<String>) {
 
     // The chains run_mcmc_gpu builds, built and run the same way inside
     // the timed region: every voxel's f32 signal, tensor-fit start,
-    // default scales, its own RNG stream, one cache bind, and the kept
-    // samples. What the ratio leaves is the kernel path's own overhead
-    // (lane and launch bookkeeping, cache binds beyond one per chain),
-    // not per-chain set-up whose share varies from host to host.
+    // default scales, its own RNG stream, one cache bind for the
+    // wavefront, and the kept samples. What the ratio leaves is the kernel
+    // path's own overhead (lane and launch bookkeeping), not per-chain
+    // set-up whose share varies from host to host.
     let time_hand = || {
-        let mut buf = BallSticksCacheBuffers::new();
+        let mut cache = WavefrontBallSticks::new();
         let mut kept = Vec::with_capacity(dims.len() * config.num_samples as usize);
         let t = Instant::now();
-        for voxel in 0..dims.len() {
-            let signal: Vec<f64> = dwi.voxel_at(voxel).iter().map(|&v| f64::from(v)).collect();
-            let posterior = BallSticksPosterior::new(&acq, &signal, prior);
-            let init = posterior.initial_params();
-            let scales = default_proposal_scales(init.s0);
-            let target = |p: &[f64; NUM_PARAMETERS]| {
-                posterior.log_posterior(&BallSticksParams::from_array(*p))
-            };
-            let mut s = MhSampler::new(&target, init.to_array(), scales, config.adapt);
-            let mut c = CachedBallSticks::new(&posterior, &mut buf);
-            c.init(s.params());
-            let mut rng = HybridTaus::seed_stream(seed, voxel as u64);
-            for done in 1..=config.num_loops() {
-                s.step_loop_incremental(&mut c, &mut rng);
-                if done > config.num_burnin
-                    && (done - config.num_burnin) % config.sample_interval == 0
-                {
-                    kept.push(*s.params());
+        let mut lanes: Vec<Lane> = (0..dims.len())
+            .map(|voxel| {
+                let signal: Vec<f64> = dwi.voxel_at(voxel).iter().map(|&v| f64::from(v)).collect();
+                let posterior = BallSticksPosterior::new(&acq, &signal, prior);
+                let init = posterior.initial_params();
+                let scales = default_proposal_scales(init.s0);
+                let target = |p: &[f64; NUM_PARAMETERS]| {
+                    posterior.log_posterior(&BallSticksParams::from_array(*p))
+                };
+                let sampler = MhSampler::new(&target, init.to_array(), scales, config.adapt);
+                Lane {
+                    signal,
+                    sampler,
+                    rng: HybridTaus::seed_stream(seed, voxel as u64),
                 }
+            })
+            .collect();
+        cache.bind(&acq, prior, &mut lanes);
+        let active = vec![true; lanes.len()];
+        for done in 1..=config.num_loops() {
+            cache.step_loop(&acq, &mut lanes, &active);
+            if done > config.num_burnin && (done - config.num_burnin) % config.sample_interval == 0
+            {
+                kept.extend(lanes.iter().map(|l| *l.sampler.params()));
             }
         }
         let elapsed = t.elapsed().as_secs_f64();
@@ -310,14 +337,14 @@ fn check_mcmc_kernel(doc: &Json, failures: &mut Vec<String>) {
     let ratio = median(&mut ratios);
     let ceiling = baseline_f64(doc, "mcmc_kernel_vs_cached_loop_max");
     println!(
-        "mcmc kernel ({} lanes x {} loops): {kernel_us:.2} us per voxel-loop, hand cached \
-         loop {hand_us:.2} us, median pair ratio {ratio:.3} (ceiling {ceiling:.2})",
+        "mcmc kernel ({} lanes x {} loops): {kernel_us:.2} us per voxel-loop, hand wavefront \
+         sweep {hand_us:.2} us, median pair ratio {ratio:.3} (ceiling {ceiling:.2})",
         dims.len(),
         config.num_loops()
     );
     if ratio > ceiling {
         failures.push(format!(
-            "run_mcmc_gpu costs {ratio:.3}x the hand cached loop per voxel-loop \
+            "run_mcmc_gpu costs {ratio:.3}x the hand wavefront sweep per voxel-loop \
              (ceiling {ceiling:.2})"
         ));
     }

@@ -6,19 +6,27 @@
 //! perfectly balanced and need no segmentation — which is why the paper's
 //! Table III speedup is a flat ~34× while tracking required the
 //! load-balancing contribution.
+//!
+//! On the host each wavefront runs the same way the device would run it:
+//! its 64 lanes advance in lockstep, one parameter step at a time, through
+//! a structure-of-arrays sweep ([`tracto_mcmc::cached`]), and the lanes of
+//! a launch are built in parallel. Each lane's chain is bit-identical to
+//! [`VoxelEstimator::run_voxel`](tracto_mcmc::VoxelEstimator) for the same
+//! `(seed, voxel)`.
 
 use std::cell::RefCell;
 use std::ops::Range;
 
+use rayon::prelude::*;
 use tracto_diffusion::posterior::{BallSticksParams, NUM_PARAMETERS};
 use tracto_diffusion::{Acquisition, BallSticksPosterior, PriorConfig};
 use tracto_gpu_sim::{Gpu, LaneStatus, MultiGpu, SimKernel, TimingLedger};
-use tracto_mcmc::cached::{BallSticksCacheBuffers, CachedBallSticks};
+use tracto_mcmc::cached::{WavefrontBallSticks, WavefrontLane};
 use tracto_mcmc::chain::ChainConfig;
 use tracto_mcmc::checkpoint::{
     CheckpointPolicy, CheckpointStore, SnapshotLoad, CHECKPOINT_LANE_BYTES,
 };
-use tracto_mcmc::mh::{IncrementalTarget, MhSampler, MhState};
+use tracto_mcmc::mh::{MhSampler, MhState};
 use tracto_mcmc::voxelwise::{default_proposal_scales, SampleVolumes};
 use tracto_rng::HybridTaus;
 use tracto_trace::{Tracer, TractoResult, Value};
@@ -34,15 +42,43 @@ pub struct McmcLane {
     samples: Vec<[f64; NUM_PARAMETERS]>,
 }
 
+impl WavefrontLane for McmcLane {
+    type Rng = HybridTaus;
+
+    fn signal(&self) -> &[f64] {
+        &self.signal
+    }
+
+    fn chain(&mut self) -> (&mut MhSampler<NUM_PARAMETERS>, &mut HybridTaus) {
+        (&mut self.sampler, &mut self.rng)
+    }
+}
+
+impl McmcLane {
+    /// Count one finished MH loop and record a sample every L loops after
+    /// burn-in.
+    fn finish_loop(&mut self, config: ChainConfig) {
+        self.loops_done += 1;
+        if self.loops_done > config.num_burnin {
+            let since = self.loops_done - config.num_burnin;
+            if since % config.sample_interval == 0
+                && self.samples.len() < config.num_samples as usize
+            {
+                self.samples.push(*self.sampler.params());
+            }
+        }
+    }
+}
+
 /// The MCMC kernel: one `step` = one MH loop (one update of each of the 9
 /// parameters), matching the paper's Fig. 2 inner loop.
 ///
-/// Lanes run lane-major: [`run_wavefront`](SimKernel::run_wavefront)
-/// takes each lane through the whole launch budget on one cache bind and
-/// one [`IncrementalTarget::init`] — the paper's "one thread for the MCMC
-/// of one voxel" keeping its chain state across loops — instead of the
-/// default round-robin, which would rebuild the cache before every loop.
-/// Counts, charges and samples equal round-robin's: chains never interact.
+/// [`run_wavefront`](SimKernel::run_wavefront) runs a wavefront's lanes in
+/// lockstep, as the device's SIMD unit would: one bind of the per-thread
+/// structure-of-arrays cache ([`WavefrontBallSticks`]) per launch, then
+/// each loop moves every lane through each parameter together. Counts,
+/// charges and samples equal round-robin's: chains never interact, and
+/// each lane keeps its own draws and arithmetic.
 struct McmcKernel<'a> {
     acq: &'a Acquisition,
     prior: PriorConfig,
@@ -66,79 +102,58 @@ impl SimKernel for McmcKernel<'_> {
     }
 
     fn step(&self, lane: &mut McmcLane) -> LaneStatus {
-        let (_, finished) =
-            POSTERIOR_CACHE.with(|buf| self.run_lane(lane, 1, &mut buf.borrow_mut()));
-        if finished {
+        let (_, finished) = self.run_wavefront(std::slice::from_mut(lane), 1);
+        if finished[0] {
             LaneStatus::Finished
         } else {
             LaneStatus::Continue
         }
     }
 
+    /// Each lane runs `min(budget, loops left)` loops; a call on a finished
+    /// chain counts one executed loop, as the round-robin `step` does.
     fn run_wavefront(&self, chunk: &mut [McmcLane], max_iters: u32) -> (Vec<u32>, Vec<bool>) {
-        POSTERIOR_CACHE.with(|buf| {
-            let mut buf = buf.borrow_mut();
-            chunk
-                .iter_mut()
-                .map(|lane| self.run_lane(lane, max_iters, &mut buf))
-                .unzip()
-        })
-    }
-}
-
-impl McmcKernel<'_> {
-    /// Run one lane for at most `budget` MH loops on one bind of `buf`:
-    /// returns the loops executed (a call on a finished chain counts one,
-    /// as the round-robin `step` does) and whether the chain finished.
-    fn run_lane(
-        &self,
-        lane: &mut McmcLane,
-        budget: u32,
-        buf: &mut BallSticksCacheBuffers,
-    ) -> (u32, bool) {
-        let config = self.config;
-        if budget == 0 {
-            return (0, false);
-        }
-        if lane.loops_done >= config.num_loops() {
-            return (1, true);
-        }
-        let posterior = BallSticksPosterior::new(self.acq, &lane.signal, self.prior);
-        // The incremental target re-evaluates only the per-measurement terms
-        // a proposal touches; it is built once here and carried across the
-        // lane's loops. Bit-identical to the plain `step_loop` (pinned by
-        // `gpu_mcmc_matches_cpu_reference_exactly`).
-        let mut cached = CachedBallSticks::new(&posterior, buf);
-        cached.init(lane.sampler.params());
-        let mut executed = 0;
-        while executed < budget {
-            executed += 1;
-            lane.sampler
-                .step_loop_incremental(&mut cached, &mut lane.rng);
-            lane.loops_done += 1;
-            // Record a sample every L loops after burn-in.
-            if lane.loops_done > config.num_burnin {
-                let since = lane.loops_done - config.num_burnin;
-                if since % config.sample_interval == 0
-                    && lane.samples.len() < config.num_samples as usize
-                {
-                    lane.samples.push(*lane.sampler.params());
+        let num_loops = self.config.num_loops();
+        let budget: Vec<u32> = chunk
+            .iter()
+            .map(|lane| num_loops.saturating_sub(lane.loops_done).min(max_iters))
+            .collect();
+        let rounds = budget.iter().copied().max().unwrap_or(0);
+        if rounds > 0 {
+            WAVEFRONT_CACHE.with(|cache| {
+                let mut cache = cache.borrow_mut();
+                cache.bind(self.acq, self.prior, chunk);
+                let mut active = vec![false; chunk.len()];
+                for round in 0..rounds {
+                    for (on, &b) in active.iter_mut().zip(&budget) {
+                        *on = round < b;
+                    }
+                    cache.step_loop(self.acq, chunk, &active);
+                    for (lane, &on) in chunk.iter_mut().zip(&active) {
+                        if on {
+                            lane.finish_loop(self.config);
+                        }
+                    }
                 }
-            }
-            if lane.loops_done >= config.num_loops() {
-                return (executed, true);
-            }
+            });
         }
-        (executed, false)
+        chunk
+            .iter()
+            .zip(&budget)
+            .map(|(lane, &b)| {
+                let finished = max_iters > 0 && lane.loops_done >= num_loops;
+                (if finished && b == 0 { 1 } else { b }, finished)
+            })
+            .unzip()
     }
 }
 
 thread_local! {
-    /// Reusable cache buffers for [`CachedBallSticks`]: one set per rayon
-    /// worker, bound to each lane in turn for that lane's whole run
-    /// through a launch, so the hot loop allocates nothing in steady state.
-    static POSTERIOR_CACHE: RefCell<BallSticksCacheBuffers> =
-        RefCell::new(BallSticksCacheBuffers::new());
+    /// Reusable wavefront cache: one per rayon worker, bound to each
+    /// wavefront in turn for that wavefront's whole run through a launch,
+    /// so the hot loop allocates nothing in steady state.
+    static WAVEFRONT_CACHE: RefCell<WavefrontBallSticks> =
+        RefCell::new(WavefrontBallSticks::new());
 }
 
 /// Report of a GPU-simulated MCMC run.
@@ -155,7 +170,9 @@ pub struct McmcGpuReport {
 }
 
 /// Build one [`McmcLane`] per masked voxel, seeded per-voxel so results are
-/// independent of how lanes are later partitioned across devices.
+/// independent of how lanes are later partitioned across devices. Each
+/// lane's tensor-fit start is its own, so lanes build in parallel (in mask
+/// order).
 fn build_mcmc_lanes(
     acq: &Acquisition,
     dwi: &Volume4<f32>,
@@ -165,8 +182,8 @@ fn build_mcmc_lanes(
     seed: u64,
 ) -> Vec<McmcLane> {
     mask.indices()
-        .into_iter()
-        .map(|voxel_index| {
+        .par_iter()
+        .map(|&voxel_index| {
             let signal: Vec<f64> = dwi
                 .voxel_at(voxel_index)
                 .iter()

@@ -32,6 +32,12 @@ const PLACEHOLDER_FRACTION: f64 = 0.5;
 /// b-values at or below this (s/mm²) count as b=0 measurements.
 const B0_THRESHOLD: f64 = 50.0;
 
+/// Largest b-value (s/mm²) a protocol row may carry. Diffusion protocols
+/// stay far below it; a larger value is a corrupt protocol whose
+/// `exp(-b·d)` terms and tensor fit degenerate (overflowing design rows,
+/// non-finite eigenvalues) instead of describing a measurement.
+pub const MAX_BVAL: f64 = 1e5;
+
 /// Render an acquisition as protocol text: one `bval gx gy gz` row per
 /// measurement — byte-identical to the CLI's `acq.txt`.
 pub fn acq_to_text(acq: &Acquisition) -> String {
@@ -43,17 +49,28 @@ pub fn acq_to_text(acq: &Acquisition) -> String {
     out
 }
 
-/// Parse protocol text (blank lines and `#` comments allowed).
+/// Parse protocol text (blank lines and `#` comments allowed). Every field
+/// must be finite and every b-value in `[0, MAX_BVAL]`; a row that is not
+/// fails with a typed `Format` error naming its line.
 pub fn acq_from_text(text: &str) -> TractoResult<Acquisition> {
-    let (bvals, grads) = acq_rows(text)?;
-    Ok(Acquisition::new(bvals, grads))
+    let rows = acq_rows(text)?;
+    rows.check_values()?;
+    Ok(Acquisition::new(rows.bvals, rows.grads))
 }
 
-/// The `(bvals, grads)` rows of protocol text, not yet an [`Acquisition`],
-/// so a caller can check the row count before building one.
-fn acq_rows(text: &str) -> TractoResult<(Vec<f64>, Vec<Vec3>)> {
+/// The parsed rows of protocol text, not yet an [`Acquisition`], so a
+/// caller can check the row count before any per-row work.
+struct AcqRows {
+    bvals: Vec<f64>,
+    grads: Vec<Vec3>,
+    /// 1-based text line of each row, for error messages.
+    lines: Vec<usize>,
+}
+
+fn acq_rows(text: &str) -> TractoResult<AcqRows> {
     let mut bvals = Vec::new();
     let mut grads = Vec::new();
+    let mut lines = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
@@ -73,13 +90,43 @@ fn acq_rows(text: &str) -> TractoResult<(Vec<f64>, Vec<Vec3>)> {
                 lineno + 1
             )));
         }
+        lines.push(lineno + 1);
         bvals.push(parts[0]);
         grads.push(Vec3::new(parts[1], parts[2], parts[3]));
     }
     if bvals.is_empty() {
         return Err(TractoError::format("acq text: no measurements"));
     }
-    Ok((bvals, grads))
+    Ok(AcqRows {
+        bvals,
+        grads,
+        lines,
+    })
+}
+
+impl AcqRows {
+    /// Refuse a row that is no measurement. `f64::from_str` accepts `nan`,
+    /// `inf` and `1e300`, and each would reach Step 1's tensor fit and `exp`.
+    fn check_values(&self) -> TractoResult<()> {
+        for ((&b, g), line) in self.bvals.iter().zip(&self.grads).zip(&self.lines) {
+            if let Some(v) = [b, g.x, g.y, g.z].into_iter().find(|v| !v.is_finite()) {
+                return Err(TractoError::format(format!(
+                    "acq line {line}: non-finite value `{v}`"
+                )));
+            }
+            if b < 0.0 {
+                return Err(TractoError::format(format!(
+                    "acq line {line}: negative b-value {b}"
+                )));
+            }
+            if b > MAX_BVAL {
+                return Err(TractoError::format(format!(
+                    "acq line {line}: b-value {b} above the {MAX_BVAL} s/mm² ceiling"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 fn push_section(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -153,7 +200,7 @@ pub fn decode_trds(bytes: &[u8]) -> TractoResult<(Volume4<f32>, Mask, Acquisitio
     let mask = Mask::threshold(&mask_vol, 0.5);
     let acq_text = std::str::from_utf8(acq_bytes)
         .map_err(|_| TractoError::format("acq section is not UTF-8"))?;
-    let (bvals, grads) = acq_rows(acq_text)?;
+    let rows = acq_rows(acq_text)?;
     if dwi.dims() != mask.dims() {
         return Err(TractoError::format(
             "TRDS inconsistent: mask dims differ from dwi",
@@ -161,13 +208,14 @@ pub fn decode_trds(bytes: &[u8]) -> TractoResult<(Volume4<f32>, Mask, Acquisitio
     }
     // Checked on the raw rows: the acq section is sized by the upload, not
     // by the dwi, so no Acquisition is built for rows the dwi cannot use.
-    if dwi.nt() != bvals.len() {
+    if dwi.nt() != rows.bvals.len() {
         return Err(TractoError::format(format!(
             "TRDS inconsistent: dwi has {} measurements, acq {}",
             dwi.nt(),
-            bvals.len()
+            rows.bvals.len()
         )));
     }
+    rows.check_values()?;
     if let Some(pos) = dwi.as_slice().iter().position(|v| !v.is_finite()) {
         let c = dwi.dims().coords(pos / dwi.nt());
         return Err(TractoError::format(format!(
@@ -179,7 +227,7 @@ pub fn decode_trds(bytes: &[u8]) -> TractoResult<(Volume4<f32>, Mask, Acquisitio
             pos % dwi.nt()
         )));
     }
-    Ok((dwi, mask, Acquisition::new(bvals, grads)))
+    Ok((dwi, mask, Acquisition::new(rows.bvals, rows.grads)))
 }
 
 /// Build a runnable [`Dataset`] from loaded components. `name` labels the
@@ -380,6 +428,48 @@ mod tests {
             acq_from_text("# only comments\n").unwrap_err().kind(),
             ErrorKind::Format
         );
+    }
+
+    /// `blob` with its acq section (the container's last) replaced.
+    fn with_acq_text(blob: &[u8], acq: &Acquisition, text: &str) -> Vec<u8> {
+        let mut out = blob[..blob.len() - 8 - acq_to_text(acq).len()].to_vec();
+        push_section(&mut out, text.as_bytes());
+        out
+    }
+
+    #[test]
+    fn absurd_protocol_rows_are_typed_format_errors() {
+        let ds = datasets::single_bundle(Dim3::new(4, 3, 3), Some(20.0), 2);
+        let blob = encode_trds(&ds.dwi, &ds.wm_mask, &ds.acq).unwrap();
+        let good = acq_to_text(&ds.acq);
+        assert!(decode_trds(&with_acq_text(&blob, &ds.acq, &good)).is_ok());
+        let bad_line = 5;
+        for (row, needle) in [
+            ("nan 1 0 0", "non-finite value `NaN`"),
+            ("inf 1 0 0", "non-finite value `inf`"),
+            ("1000 nan 0 0", "non-finite value `NaN`"),
+            ("1000 1 -inf 0", "non-finite value `-inf`"),
+            ("1e300 1 0 0", "above the 100000 s/mm² ceiling"),
+            ("100000.5 1 0 0", "above the 100000 s/mm² ceiling"),
+            ("-1000 1 0 0", "negative b-value -1000"),
+        ] {
+            let text: String = good
+                .lines()
+                .enumerate()
+                .map(|(i, l)| if i + 1 == bad_line { row } else { l })
+                .map(|l| format!("{l}\n"))
+                .collect();
+            let err = decode_trds(&with_acq_text(&blob, &ds.acq, &text)).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Format, "{row}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("acq line {bad_line}:")),
+                "{row}: {msg}"
+            );
+            assert!(msg.contains(needle), "{row}: {msg}");
+        }
+        // The ceiling itself and b = 0 are measurements.
+        assert!(acq_from_text("0 0 0 0\n100000 0 0 1\n").is_ok());
     }
 
     #[test]

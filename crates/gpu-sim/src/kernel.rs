@@ -53,11 +53,11 @@ pub trait SimKernel: Sync {
     /// the launcher builds the lockstep charge from `executed` alone. Lanes
     /// never communicate, so each lane's count is `min(steps to finish,
     /// max_iters)` under any order. The default steps lanes round-robin,
-    /// the lockstep order itself. A kernel whose lanes carry per-lane host
-    /// state that is costly to re-establish (Step 1's posterior cache)
-    /// overrides this to run each lane through the whole budget before
-    /// the next. Tracking keeps round-robin: lane-major measured ~14 %
-    /// slower on the batched walker (`warm_tracking` job p50 72 → 83 ms).
+    /// the lockstep order itself. Step 1's kernel overrides this to bind
+    /// its structure-of-arrays posterior cache once per launch and move
+    /// every lane through each parameter step together. Tracking keeps
+    /// round-robin: lane-major measured ~14 % slower on the batched walker
+    /// (`warm_tracking` job p50 72 → 83 ms).
     fn run_wavefront(&self, chunk: &mut [Self::Lane], max_iters: u32) -> (Vec<u32>, Vec<bool>) {
         let m = chunk.len();
         let mut executed = vec![0u32; m];

@@ -15,9 +15,10 @@
 //!
 //! The module split mirrors the paper's architecture: [`mh`] is the generic
 //! sampler machinery (one simulated GPU lane's worth of state), [`cached`]
-//! evaluates the ball-and-sticks posterior incrementally (per-parameter
-//! proposals invalidate only the per-measurement terms they touch, bit-
-//! identical to the full evaluation), [`chain`] drives one voxel's chain,
+//! runs a wavefront of chains in lockstep on a structure-of-arrays
+//! posterior cache (per-parameter proposals invalidate only the
+//! per-measurement terms they touch, bit-identical to the full
+//! evaluation), [`chain`] drives one voxel's chain,
 //! [`voxelwise`] fans chains out across the brain volume and assembles the
 //! six 4-D sample volumes of Fig. 1, and [`diagnostics`] provides
 //! acceptance/ESS checks.
@@ -34,9 +35,9 @@ pub mod mh;
 pub mod pointest;
 pub mod voxelwise;
 
-pub use cached::{BallSticksCacheBuffers, CachedBallSticks};
+pub use cached::{WavefrontBallSticks, WavefrontLane};
 pub use chain::{ChainConfig, ChainOutput};
 pub use checkpoint::{CheckpointPolicy, CheckpointStore, SnapshotLoad, CHECKPOINT_LANE_BYTES};
-pub use mh::{AdaptScheme, IncrementalTarget, MhSampler, MhState, Target};
+pub use mh::{AdaptScheme, MhSampler, MhState, Target};
 pub use pointest::{PointEstimate, PointEstimator};
 pub use voxelwise::{SampleVolumes, VoxelEstimator};

@@ -17,38 +17,6 @@ impl<const N: usize, F: Fn(&[f64; N]) -> f64> Target<N> for F {
     }
 }
 
-/// A log-density target that exploits the *single-coordinate* structure of
-/// the per-parameter MH sweep: between two proposals only one coordinate
-/// changed, so per-measurement partial terms (projections, exponentials,
-/// residual sums) can be cached and selectively invalidated instead of
-/// recomputed from scratch.
-///
-/// The contract is transactional: [`propose`](Self::propose) evaluates the
-/// density with coordinate `j` changed but must leave the committed cache
-/// untouched; the sampler then calls exactly one of
-/// [`accept`](Self::accept) (fold the staged terms into the cache) or
-/// [`reject`](Self::reject) (discard them). Implementations must return
-/// **bit-identical** values to the plain [`Target`] evaluation — the
-/// serialized and incremental chains are required to agree exactly, not
-/// statistically.
-pub trait IncrementalTarget<const N: usize> {
-    /// Rebuild the cache for `params` and return its log density. Called
-    /// once before a run of [`MhSampler::step_loop_incremental`] calls, and
-    /// whenever the sampler's position changed by other means (restore,
-    /// external update).
-    fn init(&mut self, params: &[f64; N]) -> f64;
-
-    /// Log density of `params`, which differs from the committed position in
-    /// coordinate `j` only. Staged work must not alter the committed cache.
-    fn propose(&mut self, j: usize, params: &[f64; N]) -> f64;
-
-    /// Commit the staged proposal for coordinate `j` into the cache.
-    fn accept(&mut self, j: usize);
-
-    /// Discard the staged proposal for coordinate `j`.
-    fn reject(&mut self, j: usize);
-}
-
 /// Proposal-scale adaptation scheme.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdaptScheme {
@@ -231,10 +199,37 @@ impl<const N: usize> MhSampler<N> {
         rng: &mut R,
         j: usize,
     ) -> bool {
+        let old = self.propose_param(j, rng);
+        let new_ld = target.log_density(&self.params);
+        self.decide_param(j, old, new_ld, rng)
+    }
+
+    /// The propose half of [`step_param`](Self::step_param): draw the
+    /// Gaussian perturbation and move coordinate `j` to the proposal, which
+    /// [`params`](Self::params) then shows. Returns the previous value for
+    /// [`decide_param`](Self::decide_param), which must follow before the
+    /// next proposal. Splitting the step lets a wavefront of chains draw
+    /// their proposals, evaluate them in one sweep, then decide each.
+    #[inline]
+    pub fn propose_param<R: RandomSource>(&mut self, j: usize, rng: &mut R) -> f64 {
         let z = box_muller_cos(rng.next_f64(), rng.next_f64());
         let old = self.params[j];
         self.params[j] = old + self.scales[j] * z;
-        let new_ld = target.log_density(&self.params);
+        old
+    }
+
+    /// The decide half of [`step_param`](Self::step_param): given the log
+    /// density `new_ld` at the proposal, accept it or restore `old`,
+    /// drawing the accept uniform only when the move is downhill and inside
+    /// the support. Returns whether the proposal was accepted.
+    #[inline]
+    pub fn decide_param<R: RandomSource>(
+        &mut self,
+        j: usize,
+        old: f64,
+        new_ld: f64,
+        rng: &mut R,
+    ) -> bool {
         self.proposed[j] += 1;
         // log r = ln P(ω′) − ln P(ω); accept if u < r.
         let log_r = new_ld - self.log_density;
@@ -263,72 +258,12 @@ impl<const N: usize> MhSampler<N> {
             }
             self.step_param(target, rng, j);
         }
-        self.loops_done += 1;
-        if let AdaptScheme::Band {
-            interval,
-            lo,
-            hi,
-            grow,
-            shrink,
-        } = self.adapt
-        {
-            if self.loops_done % interval == 0 {
-                self.adapt_scales(lo, hi, grow, shrink);
-            }
-        }
+        self.end_loop();
     }
 
-    /// [`step_param`](Self::step_param) against an [`IncrementalTarget`]:
-    /// identical draws, identical accept rule, but the density comes from
-    /// the target's cache and the accept/reject outcome is forwarded so the
-    /// cache tracks the chain. The target must have been synchronized to
-    /// the current position via [`IncrementalTarget::init`].
-    #[inline]
-    pub fn step_param_incremental<T: IncrementalTarget<N>, R: RandomSource>(
-        &mut self,
-        target: &mut T,
-        rng: &mut R,
-        j: usize,
-    ) -> bool {
-        let z = box_muller_cos(rng.next_f64(), rng.next_f64());
-        let old = self.params[j];
-        self.params[j] = old + self.scales[j] * z;
-        let new_ld = target.propose(j, &self.params);
-        self.proposed[j] += 1;
-        let log_r = new_ld - self.log_density;
-        let accept = if log_r >= 0.0 {
-            true
-        } else if new_ld == f64::NEG_INFINITY {
-            false
-        } else {
-            rng.next_f64().ln() < log_r
-        };
-        if accept {
-            self.log_density = new_ld;
-            self.accepted[j] += 1;
-            target.accept(j);
-        } else {
-            self.params[j] = old;
-            target.reject(j);
-        }
-        accept
-    }
-
-    /// [`step_loop`](Self::step_loop) against an [`IncrementalTarget`] —
-    /// the fast inner loop. Consumes exactly the same random draws and
-    /// produces a bit-identical chain to `step_loop` on the equivalent
-    /// plain target; only the cost of each density evaluation changes.
-    pub fn step_loop_incremental<T: IncrementalTarget<N>, R: RandomSource>(
-        &mut self,
-        target: &mut T,
-        rng: &mut R,
-    ) {
-        for j in 0..N {
-            if self.frozen[j] {
-                continue;
-            }
-            self.step_param_incremental(target, rng, j);
-        }
+    /// Close one loop after its per-parameter steps: count it and, every
+    /// adaptation interval, adapt the proposal scales.
+    pub fn end_loop(&mut self) {
         self.loops_done += 1;
         if let AdaptScheme::Band {
             interval,
@@ -597,58 +532,21 @@ mod tests {
         assert_ne!(s.params()[0], 5.0, "free coordinate should move");
     }
 
-    /// An incremental version of the separable quadratic
-    /// `-0.5 Σ wⱼ pⱼ²` that caches the per-coordinate terms and updates
-    /// only the proposed one — the same transactional shape as the cached
-    /// ball-and-sticks posterior, in miniature.
-    struct CachedQuadratic<const N: usize> {
-        weights: [f64; N],
-        terms: [f64; N],
-        staged: f64,
-        staged_j: usize,
-    }
-
-    impl<const N: usize> CachedQuadratic<N> {
-        fn new(weights: [f64; N]) -> Self {
-            CachedQuadratic {
-                weights,
-                terms: [0.0; N],
-                staged: 0.0,
-                staged_j: 0,
+    /// One loop driven through the split halves, as the wavefront sweep
+    /// drives each lane: propose, evaluate, decide.
+    fn split_loop<const N: usize>(
+        s: &mut MhSampler<N>,
+        target: impl Fn(&[f64; N]) -> f64,
+        rng: &mut HybridTaus,
+    ) {
+        for j in 0..N {
+            if !s.is_frozen(j) {
+                let old = s.propose_param(j, rng);
+                let ld = target(s.params());
+                s.decide_param(j, old, ld, rng);
             }
         }
-
-        fn total(&self, override_j: Option<(usize, f64)>) -> f64 {
-            // Sum in coordinate order so the float result is bit-identical
-            // to the plain closure below.
-            let mut ld = 0.0;
-            for j in 0..N {
-                ld += match override_j {
-                    Some((oj, t)) if oj == j => t,
-                    _ => self.terms[j],
-                };
-            }
-            ld
-        }
-    }
-
-    impl<const N: usize> IncrementalTarget<N> for CachedQuadratic<N> {
-        fn init(&mut self, params: &[f64; N]) -> f64 {
-            for (j, p) in params.iter().enumerate() {
-                self.terms[j] = -0.5 * self.weights[j] * p * p;
-            }
-            self.total(None)
-        }
-        fn propose(&mut self, j: usize, params: &[f64; N]) -> f64 {
-            self.staged = -0.5 * self.weights[j] * params[j] * params[j];
-            self.staged_j = j;
-            self.total(Some((j, self.staged)))
-        }
-        fn accept(&mut self, j: usize) {
-            assert_eq!(j, self.staged_j);
-            self.terms[j] = self.staged;
-        }
-        fn reject(&mut self, _j: usize) {}
+        s.end_loop();
     }
 
     #[test]
@@ -661,35 +559,27 @@ mod tests {
             }
             ld
         };
-        let mut cached = CachedQuadratic::new(weights);
         let initial = [0.7, -1.2, 0.1];
         let scales = [0.8, 0.8, 0.8];
         let mut a = MhSampler::new(&plain, initial, scales, AdaptScheme::paper_default());
-        let mut b = MhSampler::new(&plain, initial, scales, AdaptScheme::paper_default());
-        cached.init(b.params());
+        let mut b = a.clone();
         let mut r1 = HybridTaus::new(21);
         let mut r2 = HybridTaus::new(21);
         for loop_i in 0..400 {
             a.step_loop(&plain, &mut r1);
-            b.step_loop_incremental(&mut cached, &mut r2);
-            assert_eq!(a.params(), b.params(), "diverged at loop {loop_i}");
-            assert_eq!(a.log_density(), b.log_density());
-            assert_eq!(a.scales(), b.scales());
+            split_loop(&mut b, plain, &mut r2);
+            assert_eq!(a.snapshot(), b.snapshot(), "diverged at loop {loop_i}");
         }
-        assert_eq!(a.acceptance_rates(), b.acceptance_rates());
     }
 
     #[test]
     fn incremental_loop_respects_freeze_mask() {
-        let weights = [1.0, 1.0];
         let plain = move |p: &[f64; 2]| -0.5 * (p[0] * p[0] + p[1] * p[1]);
-        let mut cached = CachedQuadratic::new(weights);
         let mut s = MhSampler::new(&plain, [0.0, 3.0], [1.0, 1.0], AdaptScheme::Fixed);
         s.freeze(1);
-        cached.init(s.params());
         let mut rng = HybridTaus::new(22);
         for _ in 0..100 {
-            s.step_loop_incremental(&mut cached, &mut rng);
+            split_loop(&mut s, plain, &mut rng);
         }
         assert_eq!(s.params()[1], 3.0, "frozen coordinate moved");
         assert_ne!(s.params()[0], 0.0);
@@ -697,34 +587,15 @@ mod tests {
 
     #[test]
     fn incremental_rejects_out_of_support() {
-        struct HalfLine {
-            term: f64,
-            staged: f64,
-        }
-        impl IncrementalTarget<1> for HalfLine {
-            fn init(&mut self, p: &[f64; 1]) -> f64 {
-                self.term = if p[0] > 0.0 { 0.0 } else { f64::NEG_INFINITY };
-                self.term
-            }
-            fn propose(&mut self, _j: usize, p: &[f64; 1]) -> f64 {
-                self.staged = if p[0] > 0.0 { 0.0 } else { f64::NEG_INFINITY };
-                self.staged
-            }
-            fn accept(&mut self, _j: usize) {
-                self.term = self.staged;
-            }
-            fn reject(&mut self, _j: usize) {}
-        }
         let plain = |p: &[f64; 1]| if p[0] > 0.0 { 0.0 } else { f64::NEG_INFINITY };
-        let mut target = HalfLine {
-            term: 0.0,
-            staged: 0.0,
-        };
         let mut s = MhSampler::new(&plain, [1.0], [100.0], AdaptScheme::Fixed);
-        target.init(s.params());
         let mut rng = HybridTaus::new(23);
         for _ in 0..500 {
-            s.step_loop_incremental(&mut target, &mut rng);
+            let old = s.propose_param(0, &mut rng);
+            let ld = plain(s.params());
+            let accepted = s.decide_param(0, old, ld, &mut rng);
+            assert_eq!(accepted, ld == 0.0, "out-of-support proposal accepted");
+            s.end_loop();
             assert!(s.params()[0] > 0.0, "chain escaped the support");
         }
     }

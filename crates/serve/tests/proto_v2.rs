@@ -8,7 +8,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tracto::loaded::encode_trds;
+use tracto::loaded::{acq_to_text, encode_trds};
 use tracto_phantom::datasets;
 use tracto_proto::{
     lengths_digest, read_frame, write_frame, ChainSpec, DatasetSpec, Endpoint, Event, JobKind,
@@ -344,6 +344,52 @@ fn non_finite_upload_fails_its_job_typed_and_the_server_keeps_serving() {
     }
     // The same server still runs the next job to completion.
     let hash = client.upload(&trds_blob()).unwrap();
+    let job = client.submit(wire_job_for_upload(&hash)).unwrap();
+    let state = client.await_job(job, Some(60_000)).unwrap();
+    assert!(
+        matches!(state, JobState::Done(Outcome::Track { .. })),
+        "clean upload after the bad ones: {state:?}"
+    );
+}
+
+#[test]
+fn absurd_protocol_upload_fails_its_job_typed_and_the_server_keeps_serving() {
+    let fx = Fixture::start("badacq");
+    let mut client = fx.connect();
+    let ds = datasets::single_bundle(Dim3::new(6, 5, 4), None, 7);
+    let blob = trds_blob();
+    let good = acq_to_text(&ds.acq);
+    // The acq section is the container's last: swap its text for one whose
+    // third row is `row`.
+    let head = &blob[..blob.len() - 8 - good.len()];
+    for (row, needle) in [
+        ("nan 1 0 0", "non-finite"),
+        ("1000 nan 0 0", "non-finite"),
+        ("-1000 1 0 0", "negative b-value"),
+        ("1e300 1 0 0", "ceiling"),
+    ] {
+        let text: String = good
+            .lines()
+            .enumerate()
+            .map(|(i, l)| format!("{}\n", if i == 2 { row } else { l }))
+            .collect();
+        let mut bad = head.to_vec();
+        bad.extend_from_slice(&(text.len() as u64).to_be_bytes());
+        bad.extend_from_slice(text.as_bytes());
+        let hash = client.upload(&bad).unwrap();
+        let job = client.submit(wire_job_for_upload(&hash)).unwrap();
+        // Bounded: a job whose worker panicked would never settle.
+        match client.await_job(job, Some(60_000)).unwrap() {
+            JobState::Failed { kind, message } => {
+                assert_eq!(kind, "format", "{row}: {message}");
+                assert!(message.contains("acq line 3"), "{row}: {message}");
+                assert!(message.contains(needle), "{row}: {message}");
+            }
+            other => panic!("{row}: expected a format failure, got {other:?}"),
+        }
+    }
+    // The same server still runs the next job to completion.
+    let hash = client.upload(&blob).unwrap();
     let job = client.submit(wire_job_for_upload(&hash)).unwrap();
     let state = client.await_job(job, Some(60_000)).unwrap();
     assert!(
