@@ -18,7 +18,7 @@ use tracto::phantom::gradients;
 use tracto::prelude::*;
 use tracto::rng::{BoxMuller, HybridTaus};
 use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
-use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
+use tracto::tracking::probabilistic::RecordMode;
 use tracto_bench::{fmt_s, row_params, tracking_workload, BenchScale, TableWriter};
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
             ordering: SeedOrdering::Natural,
             jitter: 0.5,
             run_seed: 42,
-            record_visits: false,
+            record: RecordMode::LengthsOnly,
         };
         let report = tracker.run(&mut Gpu::new(device.clone()), 1);
         w.line(&format!(
@@ -53,23 +53,26 @@ fn main() {
 
     // ---- 2. Interpolation mode.
     w.line("");
-    w.line("2) orientation interpolation (CPU tracker, one run each):");
+    w.line("2) orientation interpolation (kernel path, one run each):");
     for (label, interp) in [
         ("nearest", InterpMode::Nearest),
         ("trilinear", InterpMode::Trilinear),
     ] {
         let p = TrackingParams { interp, ..params };
         let t0 = std::time::Instant::now();
-        let out = CpuTracker {
+        let out = GpuTracker {
             samples: &workload.samples,
             params: p,
             seeds: workload.seeds.clone(),
             mask: None,
+            strategy: SegmentationStrategy::paper_b(),
+            ordering: SeedOrdering::Natural,
             jitter: 0.5,
             run_seed: 42,
-            bidirectional: false,
+            record: RecordMode::LengthsOnly,
         }
-        .run_parallel(RecordMode::LengthsOnly);
+        .run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1)
+        .output;
         w.line(&format!(
             "   {label:<9}: total {:>10} steps, mean fiber {:>6.1}, wall {:.2}s",
             out.total_steps,
@@ -187,15 +190,19 @@ fn main() {
                 ..Default::default()
             };
             let t0 = std::time::Instant::now();
-            let sv = VoxelEstimator::new(
+            let sv = run_mcmc_gpu(
+                &mut Gpu::new(DeviceConfig::radeon_5870()),
                 &ds.acq,
                 &ds.dwi,
                 &mask,
                 prior,
                 tracto::mcmc::ChainConfig::paper_default(),
                 3,
+                1,
+                None,
             )
-            .run_parallel();
+            .expect("a fault-free device cannot fail")
+            .samples;
             let n = sv.num_samples();
             let mean_f2: f64 = (0..n).map(|s| sv.sticks_at(c, s)[1].1).sum::<f64>() / n as f64;
             w.line(&format!(
@@ -223,7 +230,7 @@ fn main() {
             ordering,
             jitter: 0.5,
             run_seed: 42,
-            record_visits: false,
+            record: RecordMode::LengthsOnly,
         };
         let report = tracker.run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1);
         w.line(&format!(

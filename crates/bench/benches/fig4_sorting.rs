@@ -8,6 +8,7 @@
 use tracto::prelude::*;
 use tracto::stats::loadbalance::{charged_iterations, neighbor_mean_abs_diff, utilization};
 use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
+use tracto::tracking::probabilistic::RecordMode;
 use tracto_bench::{row_params, tracking_workload, BenchScale, TableWriter};
 
 fn sparkline(loads: &[u32], buckets: usize) -> String {
@@ -37,13 +38,13 @@ fn main() {
         ordering: SeedOrdering::SortedByPilot,
         jitter: 0.5,
         run_seed: 42,
-        record_visits: false,
+        record: RecordMode::LengthsOnly,
     };
     let report = tracker.run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1);
 
     let mut w = TableWriter::new("fig4", "Fig. 4: work loads before and after sorting");
     // (a) original sequence = pilot sample's natural-order loads.
-    let original = report.lengths_by_sample[0].clone();
+    let original = report.output.lengths_by_sample[0].clone();
     // (b) sorted sequence.
     let mut sorted = original.clone();
     sorted.sort_unstable_by(|a, b| b.cmp(a));

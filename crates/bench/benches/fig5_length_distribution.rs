@@ -5,10 +5,13 @@
 //! exponential distribution" (Eq. 4). Fits λ by maximum likelihood and
 //! reports KS and semi-log R².
 
+use tracto::gpu_sim::{DeviceConfig, Gpu};
 use tracto::stats::ecdf::Ecdf;
 use tracto::stats::expfit::{bootstrap_lambda_ci, semilog_fit, ExponentialFit};
 use tracto::stats::Histogram;
-use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
+use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
+use tracto::tracking::probabilistic::RecordMode;
+use tracto::tracking::SegmentationStrategy;
 use tracto_bench::{row_params, tracking_workload, BenchScale, TableWriter};
 
 fn main() {
@@ -18,16 +21,20 @@ fn main() {
     // curvature-stop hazard dominates, the regime of the Fig. 5 finding.
     let mut params = row_params(0.1, 0.9);
     params.max_steps = 2000;
-    let tracker = CpuTracker {
+    let tracker = GpuTracker {
         samples: &workload.samples,
         params,
         seeds: workload.seeds.clone(),
         mask: None,
+        strategy: SegmentationStrategy::paper_b(),
+        ordering: SeedOrdering::Natural,
         jitter: 0.5,
         run_seed: 42,
-        bidirectional: false,
+        record: RecordMode::LengthsOnly,
     };
-    let out = tracker.run_parallel(RecordMode::LengthsOnly);
+    let out = tracker
+        .run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1)
+        .output;
     let lengths: Vec<f64> = out
         .all_lengths()
         .into_iter()

@@ -7,7 +7,8 @@
 
 use tracto::prelude::*;
 use tracto::stats::loadbalance::rectangle_model;
-use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
+use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
+use tracto::tracking::probabilistic::RecordMode;
 use tracto_bench::{row_params, tracking_workload, BenchScale, TableWriter};
 
 fn main() {
@@ -19,16 +20,19 @@ fn main() {
     // on their smaller dataset produced the same decay shape.
     let mut params = row_params(0.1, 0.9);
     params.max_steps = 2000;
-    let out = CpuTracker {
+    let out = GpuTracker {
         samples: &workload.samples,
         params,
         seeds: workload.seeds.clone(),
         mask: None,
+        strategy: SegmentationStrategy::paper_b(),
+        ordering: SeedOrdering::Natural,
         jitter: 0.5,
         run_seed: 42,
-        bidirectional: false,
+        record: RecordMode::LengthsOnly,
     }
-    .run_parallel(RecordMode::LengthsOnly);
+    .run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1)
+    .output;
 
     // One sample's loads, as in the figure.
     let loads = out.lengths_by_sample[0].clone();

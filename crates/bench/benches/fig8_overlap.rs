@@ -10,6 +10,7 @@
 use tracto::gpu_sim::schedule::ScheduleTrace;
 use tracto::prelude::*;
 use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
+use tracto::tracking::probabilistic::RecordMode;
 use tracto_bench::{fmt_s, row_params, tracking_workload, BenchScale, TableWriter};
 
 fn main() {
@@ -26,7 +27,7 @@ fn main() {
         ordering: SeedOrdering::Natural,
         jitter: 0.5,
         run_seed: 42,
-        record_visits: false,
+        record: RecordMode::LengthsOnly,
     };
 
     let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
@@ -57,7 +58,7 @@ fn main() {
         let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
         let report = tracker.run(&mut gpu, k);
         assert_eq!(
-            report.lengths_by_sample, serial.lengths_by_sample,
+            report.output.lengths_by_sample, serial.output.lengths_by_sample,
             "{k} streams must not change results"
         );
         let clock = gpu.stream_clock();

@@ -204,10 +204,10 @@ fn bench_end_to_end(c: &mut Criterion) {
                 ordering: SeedOrdering::Natural,
                 jitter: 0.5,
                 run_seed: 5,
-                record_visits: false,
+                record: RecordMode::LengthsOnly,
             };
             let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
-            black_box(tracker.run(&mut gpu, 1).total_steps)
+            black_box(tracker.run(&mut gpu, 1).output.total_steps)
         })
     });
     g.finish();

@@ -9,6 +9,7 @@
 
 use tracto::prelude::*;
 use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
+use tracto::tracking::probabilistic::RecordMode;
 use tracto_bench::{
     fmt_s, row_params, table2_rows, tracking_workload, BenchScale, HostModel, TableWriter,
 };
@@ -131,22 +132,22 @@ fn main() {
                 ordering: SeedOrdering::Natural,
                 jitter: 0.5,
                 run_seed: 42,
-                record_visits: false,
+                record: RecordMode::LengthsOnly,
             };
             let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
             let t0 = std::time::Instant::now();
             let report = tracker.run(&mut gpu, 1);
             let wall = t0.elapsed().as_secs_f64();
             let l = report.ledger;
-            let cpu_s = host.tracking_seconds(report.total_steps);
+            let cpu_s = host.tracking_seconds(report.output.total_steps);
             let speedup = cpu_s / l.total_s();
             w.row(
                 &[
                     dataset_id.to_string(),
                     format!("{step:.1}"),
                     format!("{thr:.2}"),
-                    report.longest().to_string(),
-                    report.total_steps.to_string(),
+                    report.output.longest().to_string(),
+                    report.output.total_steps.to_string(),
                     fmt_s(l.kernel_s),
                     fmt_s(l.reduction_s),
                     fmt_s(l.transfer_s),

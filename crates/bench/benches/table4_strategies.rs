@@ -7,6 +7,7 @@
 
 use tracto::prelude::*;
 use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
+use tracto::tracking::probabilistic::RecordMode;
 use tracto_bench::{fmt_s, row_params, tracking_workload, BenchScale, TableWriter};
 
 const PAPER: [(&str, f64, f64, f64, f64); 11] = [
@@ -77,14 +78,14 @@ fn main() {
             ordering: SeedOrdering::Natural,
             jitter: 0.5,
             run_seed: 42,
-            record_visits: false,
+            record: RecordMode::LengthsOnly,
         };
         let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
         let report = tracker.run(&mut gpu, 1);
         match reference_steps {
-            None => reference_steps = Some(report.total_steps),
+            None => reference_steps = Some(report.output.total_steps),
             Some(expected) => assert_eq!(
-                report.total_steps, expected,
+                report.output.total_steps, expected,
                 "strategy changed tracking results"
             ),
         }

@@ -229,7 +229,7 @@ fn check_analytic_vs_mcmc(doc: &Json, failures: &mut Vec<String>) {
                 ordering: SeedOrdering::Natural,
                 jitter,
                 run_seed: 42,
-                record_visits: false,
+                record: RecordMode::LengthsOnly,
             };
             let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
             tracker.run(&mut gpu, 1).ledger.total_s()

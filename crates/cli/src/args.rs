@@ -104,11 +104,11 @@ mod tests {
 
     #[test]
     fn parses_pairs_and_switches() {
-        let a = ArgMap::parse(&strs(&["--out", "dir", "--gpu", "--scale", "0.5"])).unwrap();
+        let a = ArgMap::parse(&strs(&["--out", "dir", "--point", "--scale", "0.5"])).unwrap();
         assert_eq!(a.required("out").unwrap(), "dir");
-        assert!(a.switch("gpu"));
+        assert!(a.switch("point"));
         assert_eq!(a.get_parse("scale", 1.0).unwrap(), 0.5);
-        assert!(!a.switch("cpu"));
+        assert!(!a.switch("light"));
     }
 
     #[test]

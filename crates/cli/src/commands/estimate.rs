@@ -7,11 +7,11 @@ use tracto::run_mcmc_gpu;
 use tracto_diffusion::PriorConfig;
 use tracto_gpu_sim::{DeviceConfig, Gpu};
 use tracto_mcmc::mh::AdaptScheme;
-use tracto_mcmc::{ChainConfig, PointEstimator, VoxelEstimator};
+use tracto_mcmc::{ChainConfig, PointEstimator};
 use tracto_trace::{Tracer, TractoError, TractoResult};
 
-const FLAGS: [&str; 8] = [
-    "data", "out", "samples", "burnin", "interval", "seed", "point", "gpu",
+const FLAGS: [&str; 7] = [
+    "data", "out", "samples", "burnin", "interval", "seed", "point",
 ];
 
 /// Run the command.
@@ -53,21 +53,15 @@ pub fn run(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
             mask.count(),
             config.num_loops()
         );
-        if args.switch("gpu") {
-            let mut gpu = Gpu::with_tracer(DeviceConfig::radeon_5870(), tracer.clone());
-            let report = run_mcmc_gpu(&mut gpu, &acq, &dwi, &mask, prior, config, seed, 1, None)?;
-            println!(
-                "simulated GPU time {:.2}s (kernel {:.2}s, transfer {:.2}s)",
-                report.ledger.total_s(),
-                report.ledger.kernel_s,
-                report.ledger.transfer_s
-            );
-            report.samples
-        } else {
-            VoxelEstimator::new(&acq, &dwi, &mask, prior, config, seed)
-                .with_tracer(tracer.clone())
-                .run_parallel()
-        }
+        let mut gpu = Gpu::with_tracer(DeviceConfig::radeon_5870(), tracer.clone());
+        let report = run_mcmc_gpu(&mut gpu, &acq, &dwi, &mask, prior, config, seed, 1, None)?;
+        println!(
+            "simulated GPU time {:.2}s (kernel {:.2}s, transfer {:.2}s)",
+            report.ledger.total_s(),
+            report.ledger.kernel_s,
+            report.ledger.transfer_s
+        );
+        report.samples
     };
 
     store::save_samples(&out, &samples)?;
@@ -147,6 +141,15 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&data);
         let _ = std::fs::remove_dir_all(&out);
+    }
+
+    #[test]
+    fn removed_gpu_flag_is_unknown() {
+        let args = argmap(&["--data", "x", "--out", "y", "--gpu"]);
+        let err = run(&args, &Tracer::disabled()).unwrap_err().to_string();
+        assert!(err.contains("unknown flag --gpu"), "{err}");
+        assert!(err.contains("valid flags: "), "{err}");
+        assert!(err.contains("--point"), "{err}");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use tracto_tracking::export;
 use tracto_tracking::field::InterpMode;
 use tracto_tracking::getter::Modality;
 use tracto_tracking::gpu::{GpuTracker, SeedOrdering};
-use tracto_tracking::probabilistic::{seeds_from_mask, CpuTracker, RecordMode};
+use tracto_tracking::probabilistic::{seeds_from_mask, RecordMode};
 use tracto_tracking::stop::mask_from_percentile;
 use tracto_tracking::tensorline::TensorField;
 use tracto_tracking::walker::TrackingParams;
@@ -22,7 +22,7 @@ use tracto_tracking::SegmentationStrategy;
 use tracto_volume::io::write_volume3;
 use tracto_volume::Mask;
 
-const FLAGS: [&str; 23] = [
+const FLAGS: [&str; 22] = [
     "data",
     "out",
     "samples-dir",
@@ -32,7 +32,6 @@ const FLAGS: [&str; 23] = [
     "max-steps",
     "strategy",
     "seed",
-    "cpu",
     "min-export-steps",
     "est-samples",
     "est-burnin",
@@ -214,13 +213,7 @@ pub fn run(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
     } else {
         CheckpointPolicy::every(checkpoint_every)
     };
-    // A device pool (and its fault schedule) only exists on the GPU path.
     let mut pool = if devices > 1 || fault_plan.is_some() {
-        if args.switch("cpu") {
-            return Err(TractoError::config(
-                "--cpu is incompatible with --devices/--fault-plan/--fault-seed",
-            ));
-        }
         let mut m = MultiGpu::try_new(DeviceConfig::radeon_5870(), devices)?;
         m.set_tracer(tracer);
         if let Some(plan) = &fault_plan {
@@ -299,24 +292,9 @@ pub fn run(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
     );
     let t0 = std::time::Instant::now();
 
-    // CPU path records connectivity and exportable fibers; the GPU paths
-    // report the timing breakdown. Default is one simulated GPU unless
-    // --cpu, or a fault-tolerant pool with --devices/--fault-plan.
-    let (lengths, connectivity, fibers) = if args.switch("cpu") {
-        let tracker = CpuTracker {
-            samples: &samples,
-            params,
-            seeds,
-            mask: stop_mask.as_ref(),
-            jitter,
-            run_seed: seed,
-            bidirectional: false,
-        };
-        let o = tracker.run_parallel(RecordMode::Streamlines {
-            min_steps: min_export,
-        });
-        (o.lengths_by_sample, o.connectivity, o.streamlines)
-    } else if let Some(multi) = pool.as_mut() {
+    // One simulated GPU records connectivity and exports fibers; a
+    // fault-tolerant pool (--devices/--fault-plan) records connectivity.
+    let tracking = if let Some(multi) = pool.as_mut() {
         let job = tracto_serve::BatchJob {
             samples: Arc::clone(&samples),
             params,
@@ -342,7 +320,7 @@ pub fn run(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
             multi.fault_retries(),
             multi.faults_injected()
         );
-        (out.lengths_by_sample, out.connectivity, Vec::new())
+        out
     } else {
         let mut gpu = Gpu::with_tracer(DeviceConfig::radeon_5870(), tracer.clone());
         let tracker = GpuTracker {
@@ -354,7 +332,9 @@ pub fn run(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
             ordering: SeedOrdering::Natural,
             jitter,
             run_seed: seed,
-            record_visits: true,
+            record: RecordMode::Streamlines {
+                min_steps: min_export,
+            },
         };
         let report = tracker.run(&mut gpu, streams);
         println!(
@@ -366,47 +346,44 @@ pub fn run(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
             report.ledger.simd_utilization() * 100.0,
             gpu.overlap_saved_s()
         );
-        (report.lengths_by_sample, report.connectivity, Vec::new())
+        report.output
     };
+    let fibers = &tracking.streamlines;
 
     // lengths.csv: sample,seed,steps.
     let path = out.join("lengths.csv");
     let io_err = |e| TractoError::io(format!("write {}", path.display()), e);
     let mut f = BufWriter::new(File::create(&path).map_err(io_err)?);
     writeln!(f, "sample,seed,steps").map_err(io_err)?;
-    let mut total: u64 = 0;
-    let mut longest: u32 = 0;
-    for (s, row) in lengths.iter().enumerate() {
+    for (s, row) in tracking.lengths_by_sample.iter().enumerate() {
         for (i, &l) in row.iter().enumerate() {
             writeln!(f, "{s},{i},{l}").map_err(io_err)?;
-            total += l as u64;
-            longest = longest.max(l);
         }
     }
-    drop(f);
+    f.flush().map_err(io_err)?;
 
-    if let Some(conn) = &connectivity {
+    if let Some(conn) = &tracking.connectivity {
         let vol = conn.probability_volume();
         let path = out.join("connectivity.trv3");
-        let mut f = BufWriter::new(
-            File::create(&path)
-                .map_err(|e| TractoError::io(format!("write {}", path.display()), e))?,
-        );
+        let io_err = |e| TractoError::io(format!("write {}", path.display()), e);
+        let mut f = BufWriter::new(File::create(&path).map_err(io_err)?);
         write_volume3(&mut f, &vol)
             .map_err(|e| TractoError::format_with(format!("write {}", path.display()), e))?;
+        f.flush().map_err(io_err)?;
     }
     if !fibers.is_empty() {
         let path = out.join("fibers.csv");
         let io_err = |e| TractoError::io(format!("write {}", path.display()), e);
         let mut f = BufWriter::new(File::create(&path).map_err(io_err)?);
-        export::write_csv(&mut f, &fibers).map_err(io_err)?;
+        export::write_csv(&mut f, fibers).map_err(io_err)?;
+        f.flush().map_err(io_err)?;
     }
 
     println!(
         "wrote {}: total length {} steps, longest {} steps, {} exported fibers, {:.1}s wall",
         out.display(),
-        total,
-        longest,
+        tracking.total_steps,
+        tracking.longest(),
         fibers.len(),
         t0.elapsed().as_secs_f64()
     );
@@ -429,6 +406,78 @@ mod tests {
         ArgMap::parse(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
+    /// A stored single-bundle dataset whose white-matter mask is
+    /// `in_mask`, with four synthetic posterior samples. Its directories,
+    /// and every output directory it hands out, go when it drops.
+    struct Fixture {
+        tag: &'static str,
+        ds: datasets::Dataset,
+        mask: Mask,
+        sv: tracto_mcmc::SampleVolumes,
+        dirs: Vec<PathBuf>,
+    }
+
+    impl Fixture {
+        fn new(
+            tag: &'static str,
+            in_mask: impl Fn(&datasets::Dataset, tracto_volume::Ijk) -> bool,
+        ) -> Self {
+            let ds = datasets::single_bundle(Dim3::new(10, 6, 6), None, 3);
+            let mask = Mask::from_fn(ds.dwi.dims(), |c| in_mask(&ds, c));
+            let sv = tracto::synthetic::samples_from_truth(&ds.truth, 4, 0.1, 0.02, 5);
+            let dirs = vec![tmp(&format!("{tag}_data")), tmp(&format!("{tag}_sv"))];
+            store::save_dataset(&dirs[0], &ds.dwi, &mask, &ds.acq).unwrap();
+            store::save_samples(&dirs[1], &sv).unwrap();
+            Fixture {
+                tag,
+                ds,
+                mask,
+                sv,
+                dirs,
+            }
+        }
+
+        /// Seeded on the bundle's own voxels.
+        fn bundle(tag: &'static str) -> Self {
+            Self::new(tag, |ds, c| ds.truth.at(c).count > 0)
+        }
+
+        /// A fresh output directory.
+        fn out(&mut self, name: &str) -> PathBuf {
+            let dir = tmp(&format!("{}_{name}", self.tag));
+            self.dirs.push(dir.clone());
+            dir
+        }
+
+        /// `track` over the stored samples into `out` at step 0.3.
+        fn args(&self, out: &std::path::Path, extra: &[&str]) -> ArgMap {
+            let mut v = vec![
+                "--data",
+                self.dirs[0].to_str().unwrap(),
+                "--samples-dir",
+                self.dirs[1].to_str().unwrap(),
+                "--out",
+                out.to_str().unwrap(),
+                "--step",
+                "0.3",
+            ];
+            v.extend_from_slice(extra);
+            argmap(&v)
+        }
+    }
+
+    impl Drop for Fixture {
+        fn drop(&mut self) {
+            for d in &self.dirs {
+                let _ = std::fs::remove_dir_all(d);
+            }
+        }
+    }
+
+    fn lengths_csv(out: &std::path::Path) -> String {
+        std::fs::read_to_string(out.join("lengths.csv")).unwrap()
+    }
+
     #[test]
     fn strategy_parser() {
         assert_eq!(parse_strategy("B").unwrap().label(), "B+1000");
@@ -447,35 +496,14 @@ mod tests {
 
     #[test]
     fn end_to_end_track_from_disk() {
-        let data = tmp("data");
-        let samples_dir = tmp("sv");
-        let out = tmp("out");
-        // Build + store a small dataset and synthetic samples.
-        let ds = datasets::single_bundle(Dim3::new(10, 6, 6), None, 3);
-        let mask = Mask::from_fn(ds.dwi.dims(), |c| ds.truth.at(c).count > 0);
-        store::save_dataset(&data, &ds.dwi, &mask, &ds.acq).unwrap();
-        let sv = tracto::synthetic::samples_from_truth(&ds.truth, 4, 0.1, 0.02, 5);
-        store::save_samples(&samples_dir, &sv).unwrap();
-
-        let args = argmap(&[
-            "--data",
-            data.to_str().unwrap(),
-            "--samples-dir",
-            samples_dir.to_str().unwrap(),
-            "--out",
-            out.to_str().unwrap(),
-            "--step",
-            "0.3",
-            "--max-steps",
-            "500",
-        ]);
-        run(&args, &Tracer::disabled()).unwrap();
-        let lengths = std::fs::read_to_string(out.join("lengths.csv")).unwrap();
-        assert!(lengths.lines().count() > 4, "lengths rows written");
+        let mut fx = Fixture::bundle("e2e");
+        let out = fx.out("out");
+        run(&fx.args(&out, &["--max-steps", "500"]), &Tracer::disabled()).unwrap();
+        assert!(
+            lengths_csv(&out).lines().count() > 4,
+            "lengths rows written"
+        );
         assert!(out.join("connectivity.trv3").exists());
-        for d in [&data, &samples_dir, &out] {
-            let _ = std::fs::remove_dir_all(d);
-        }
     }
 
     #[test]
@@ -521,102 +549,43 @@ mod tests {
 
     #[test]
     fn seeded_faults_leave_track_output_bit_identical() {
-        let data = tmp("fp_data");
-        let samples_dir = tmp("fp_sv");
-        let out_clean = tmp("fp_clean");
-        let out_chaos = tmp("fp_chaos");
-        let ds = datasets::single_bundle(Dim3::new(10, 6, 6), None, 3);
-        let mask = Mask::from_fn(ds.dwi.dims(), |c| ds.truth.at(c).count > 0);
-        store::save_dataset(&data, &ds.dwi, &mask, &ds.acq).unwrap();
-        let sv = tracto::synthetic::samples_from_truth(&ds.truth, 4, 0.1, 0.02, 5);
-        store::save_samples(&samples_dir, &sv).unwrap();
-
-        let base = |out: &PathBuf, extra: &[&str]| {
-            let mut v = vec![
-                "--data",
-                data.to_str().unwrap(),
-                "--samples-dir",
-                samples_dir.to_str().unwrap(),
-                "--out",
-                out.to_str().unwrap(),
-                "--step",
-                "0.3",
-                "--max-steps",
-                "300",
-                "--devices",
-                "3",
-            ];
-            v.extend_from_slice(extra);
-            argmap(&v)
-        };
-        run(&base(&out_clean, &[]), &Tracer::disabled()).unwrap();
-        run(
-            &base(&out_chaos, &["--fault-seed", "9"]),
-            &Tracer::disabled(),
-        )
-        .unwrap();
-        let clean = std::fs::read_to_string(out_clean.join("lengths.csv")).unwrap();
-        let chaos = std::fs::read_to_string(out_chaos.join("lengths.csv")).unwrap();
-        assert_eq!(clean, chaos, "injected faults must not change results");
-        for d in [&data, &samples_dir, &out_clean, &out_chaos] {
-            let _ = std::fs::remove_dir_all(d);
-        }
+        let mut fx = Fixture::bundle("fp");
+        let (clean, chaos) = (fx.out("clean"), fx.out("chaos"));
+        let pool = ["--max-steps", "300", "--devices", "3"];
+        run(&fx.args(&clean, &pool), &Tracer::disabled()).unwrap();
+        let faulted = [&pool[..], &["--fault-seed", "9"]].concat();
+        run(&fx.args(&chaos, &faulted), &Tracer::disabled()).unwrap();
+        assert_eq!(
+            lengths_csv(&clean),
+            lengths_csv(&chaos),
+            "injected faults must not change results"
+        );
     }
 
     #[test]
     fn streams_flag_leaves_track_output_bit_identical() {
-        let data = tmp("st_data");
-        let samples_dir = tmp("st_sv");
-        let out_serial = tmp("st_serial");
-        let out_streamed = tmp("st_streamed");
-        let out_pool = tmp("st_pool");
-        let ds = datasets::single_bundle(Dim3::new(10, 6, 6), None, 3);
-        let mask = Mask::from_fn(ds.dwi.dims(), |c| ds.truth.at(c).count > 0);
-        store::save_dataset(&data, &ds.dwi, &mask, &ds.acq).unwrap();
-        let sv = tracto::synthetic::samples_from_truth(&ds.truth, 4, 0.1, 0.02, 5);
-        store::save_samples(&samples_dir, &sv).unwrap();
-
-        let base = |out: &PathBuf, extra: &[&str]| {
-            let mut v = vec![
-                "--data",
-                data.to_str().unwrap(),
-                "--samples-dir",
-                samples_dir.to_str().unwrap(),
-                "--out",
-                out.to_str().unwrap(),
-                "--step",
-                "0.3",
-                "--max-steps",
-                "300",
-            ];
-            v.extend_from_slice(extra);
-            argmap(&v)
+        let mut fx = Fixture::bundle("st");
+        let (serial, streamed, pool) = (fx.out("serial"), fx.out("streamed"), fx.out("pool"));
+        let run_with = |out: &PathBuf, extra: &[&str]| {
+            let v = [&["--max-steps", "300"][..], extra].concat();
+            run(&fx.args(out, &v), &Tracer::disabled())
         };
-        run(&base(&out_serial, &[]), &Tracer::disabled()).unwrap();
-        run(
-            &base(&out_streamed, &["--streams", "3"]),
-            &Tracer::disabled(),
-        )
-        .unwrap();
-        run(
-            &base(&out_pool, &["--streams", "3", "--devices", "2"]),
-            &Tracer::disabled(),
-        )
-        .unwrap();
-        let serial = std::fs::read_to_string(out_serial.join("lengths.csv")).unwrap();
-        let streamed = std::fs::read_to_string(out_streamed.join("lengths.csv")).unwrap();
-        let pool = std::fs::read_to_string(out_pool.join("lengths.csv")).unwrap();
-        assert_eq!(serial, streamed, "streams must not change results");
-        assert_eq!(serial, pool, "streams over a pool must not change results");
-
-        let zero = base(&out_serial, &["--streams", "0"]);
-        assert!(run(&zero, &Tracer::disabled())
-            .unwrap_err()
-            .to_string()
-            .contains("--streams"));
-        for d in [&data, &samples_dir, &out_serial, &out_streamed, &out_pool] {
-            let _ = std::fs::remove_dir_all(d);
-        }
+        run_with(&serial, &[]).unwrap();
+        run_with(&streamed, &["--streams", "3"]).unwrap();
+        run_with(&pool, &["--streams", "3", "--devices", "2"]).unwrap();
+        let serial_lengths = lengths_csv(&serial);
+        assert_eq!(
+            serial_lengths,
+            lengths_csv(&streamed),
+            "streams must not change results"
+        );
+        assert_eq!(
+            serial_lengths,
+            lengths_csv(&pool),
+            "streams over a pool must not change results"
+        );
+        let err = run_with(&serial, &["--streams", "0"]).unwrap_err();
+        assert!(err.to_string().contains("--streams"));
     }
 
     #[test]
@@ -637,21 +606,64 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("mutually exclusive"));
-        let args = argmap(&[
-            "--data",
-            "x",
-            "--out",
-            "y",
-            "--samples-dir",
-            "z",
-            "--cpu",
-            "--fault-seed",
-            "3",
-        ]);
-        assert!(run(&args, &Tracer::disabled())
-            .unwrap_err()
-            .to_string()
-            .contains("incompatible"));
+        // The host path and its switch are gone; the flag is unknown now.
+        let args = argmap(&["--data", "x", "--out", "y", "--samples-dir", "z", "--cpu"]);
+        let err = run(&args, &Tracer::disabled()).unwrap_err().to_string();
+        assert!(err.contains("unknown flag --cpu (valid flags: "), "{err}");
+        assert!(
+            err.contains("--min-export-steps") && !err.contains("--cpu,"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn default_track_exports_what_the_cpu_reference_exports() {
+        // Bundle voxels plus an empty bottom slab: seeds there have no
+        // eligible direction and die on arrival.
+        let mut fx = Fixture::new("fx", |ds, c| ds.truth.at(c).count > 0 || c.k == 0);
+        let out = fx.out("out");
+        let extra = [
+            "--max-steps",
+            "500",
+            "--stop-threshold",
+            "40",
+            "--min-export-steps",
+            "8",
+        ];
+        run(&fx.args(&out, &extra), &Tracer::disabled()).unwrap();
+
+        let stop = mask_from_percentile(&tracto::pipeline::mean_dwi_volume(&fx.ds.dwi), 40.0);
+        let cpu = tracto_tracking::CpuTracker {
+            samples: &fx.sv,
+            params: TrackingParams {
+                step_length: 0.3,
+                angular_threshold: 0.9,
+                max_steps: 500,
+                min_fraction: 0.05,
+                interp: InterpMode::Nearest,
+            },
+            seeds: seeds_from_mask(&fx.mask),
+            mask: stop.as_ref(),
+            jitter: Modality::Mcmc.effective_jitter(0.5),
+            run_seed: 42,
+            bidirectional: false,
+        }
+        .run_serial(RecordMode::Streamlines { min_steps: 8 });
+        let lengths = cpu.all_lengths();
+        assert!(lengths.contains(&0), "no dead-on-arrival seed");
+        assert!(lengths.iter().any(|&l| l > 0 && l < 8), "nothing filtered");
+        let stops = |r| cpu.streamlines.iter().any(|s| s.stop == r);
+        assert!(
+            stops(tracto_tracking::StopReason::OutOfMask),
+            "stop mask idle"
+        );
+
+        let mut fibers = Vec::new();
+        export::write_csv(&mut fibers, &cpu.streamlines).unwrap();
+        assert_eq!(std::fs::read(out.join("fibers.csv")).unwrap(), fibers);
+        let mut conn = Vec::new();
+        write_volume3(&mut conn, &cpu.connectivity.unwrap().probability_volume()).unwrap();
+        assert_eq!(std::fs::read(out.join("connectivity.trv3")).unwrap(), conn);
     }
 
     /// Sum the `steps` column of a run's `lengths.csv`.
@@ -666,50 +678,20 @@ mod tests {
 
     #[test]
     fn analytic_modality_is_cheaper_than_default() {
-        let data = tmp("an_data");
-        let samples_dir = tmp("an_sv");
-        let out_mcmc = tmp("an_mcmc");
-        let out_fast = tmp("an_fast");
-        let ds = datasets::single_bundle(Dim3::new(10, 6, 6), None, 3);
-        let mask = Mask::from_fn(ds.dwi.dims(), |c| ds.truth.at(c).count > 0);
-        store::save_dataset(&data, &ds.dwi, &mask, &ds.acq).unwrap();
-        let sv = tracto::synthetic::samples_from_truth(&ds.truth, 4, 0.1, 0.02, 5);
-        store::save_samples(&samples_dir, &sv).unwrap();
-        let base = |out: &PathBuf, extra: &[&str]| {
-            let mut v = vec![
-                "--data",
-                data.to_str().unwrap(),
-                "--samples-dir",
-                samples_dir.to_str().unwrap(),
-                "--out",
-                out.to_str().unwrap(),
-                "--step",
-                "0.3",
-                "--max-steps",
-                "500",
-            ];
-            v.extend_from_slice(extra);
-            argmap(&v)
-        };
-        run(&base(&out_mcmc, &[]), &Tracer::disabled()).unwrap();
+        let mut fx = Fixture::bundle("an");
+        let (mcmc, fast) = (fx.out("mcmc"), fx.out("fast"));
         run(
-            &base(&out_fast, &["--modality", "analytic"]),
+            &fx.args(&mcmc, &["--max-steps", "500"]),
             &Tracer::disabled(),
         )
         .unwrap();
+        let analytic = ["--max-steps", "500", "--modality", "analytic"];
+        run(&fx.args(&fast, &analytic), &Tracer::disabled()).unwrap();
         // One mean sample instead of four, and unit steps instead of 0.3:
         // the fast tier must do strictly less work.
-        assert!(total_steps(&out_fast) < total_steps(&out_mcmc));
-        let rows = |o: &PathBuf| {
-            std::fs::read_to_string(o.join("lengths.csv"))
-                .unwrap()
-                .lines()
-                .count()
-        };
-        assert!(rows(&out_fast) < rows(&out_mcmc), "fewer lanes tracked");
-        for d in [&data, &samples_dir, &out_mcmc, &out_fast] {
-            let _ = std::fs::remove_dir_all(d);
-        }
+        assert!(total_steps(&fast) < total_steps(&mcmc));
+        let rows = |o: &PathBuf| lengths_csv(o).lines().count();
+        assert!(rows(&fast) < rows(&mcmc), "fewer lanes tracked");
     }
 
     #[test]
@@ -726,7 +708,6 @@ mod tests {
             out.to_str().unwrap(),
             "--modality",
             "tensorline",
-            "--cpu",
             "--step",
             "0.3",
             "--max-steps",
@@ -756,50 +737,22 @@ mod tests {
 
     #[test]
     fn stop_flags_validated_and_truncate() {
-        let data = tmp("sm_data");
-        let samples_dir = tmp("sm_sv");
-        let out_free = tmp("sm_free");
-        let out_stop = tmp("sm_stop");
-        let ds = datasets::single_bundle(Dim3::new(10, 6, 6), None, 3);
-        let mask = Mask::from_fn(ds.dwi.dims(), |c| ds.truth.at(c).count > 0);
-        store::save_dataset(&data, &ds.dwi, &mask, &ds.acq).unwrap();
-        let sv = tracto::synthetic::samples_from_truth(&ds.truth, 4, 0.1, 0.02, 5);
-        store::save_samples(&samples_dir, &sv).unwrap();
-        let base = |out: &PathBuf, extra: &[&str]| {
-            let mut v = vec![
-                "--data",
-                data.to_str().unwrap(),
-                "--samples-dir",
-                samples_dir.to_str().unwrap(),
-                "--out",
-                out.to_str().unwrap(),
-                "--step",
-                "0.3",
-                "--max-steps",
-                "500",
-            ];
-            v.extend_from_slice(extra);
-            argmap(&v)
+        let mut fx = Fixture::bundle("sm");
+        let (free, stop, bad) = (fx.out("free"), fx.out("stop"), fx.out("badmask"));
+        let run_with = |out: &PathBuf, extra: &[&str]| {
+            let v = [&["--max-steps", "500"][..], extra].concat();
+            run(&fx.args(out, &v), &Tracer::disabled())
         };
-        run(&base(&out_free, &[]), &Tracer::disabled()).unwrap();
+        run_with(&free, &[]).unwrap();
         // A 95th-percentile stop mask leaves almost every voxel out of
         // bounds for the walkers, so streamlines terminate early.
-        run(
-            &base(&out_stop, &["--stop-threshold", "95"]),
-            &Tracer::disabled(),
-        )
-        .unwrap();
-        assert!(total_steps(&out_stop) < total_steps(&out_free));
+        run_with(&stop, &["--stop-threshold", "95"]).unwrap();
+        assert!(total_steps(&stop) < total_steps(&free));
 
-        let err = run(
-            &base(&out_stop, &["--stop-threshold", "150"]),
-            &Tracer::disabled(),
-        )
-        .unwrap_err();
+        let err = run_with(&stop, &["--stop-threshold", "150"]).unwrap_err();
         assert!(err.to_string().contains("0..=100"));
 
         // A stop-mask volume on the wrong grid is rejected.
-        let bad = tmp("sm_badmask");
         std::fs::create_dir_all(&bad).unwrap();
         let bad_path = bad.join("stop.trv3");
         let mut f = std::fs::File::create(&bad_path).unwrap();
@@ -809,15 +762,8 @@ mod tests {
         )
         .unwrap();
         drop(f);
-        let err = run(
-            &base(&out_stop, &["--stop-mask", bad_path.to_str().unwrap()]),
-            &Tracer::disabled(),
-        )
-        .unwrap_err();
+        let err = run_with(&stop, &["--stop-mask", bad_path.to_str().unwrap()]).unwrap_err();
         assert!(err.to_string().contains("does not match"));
-        for d in [&data, &samples_dir, &out_free, &out_stop, &bad] {
-            let _ = std::fs::remove_dir_all(d);
-        }
     }
 
     #[test]

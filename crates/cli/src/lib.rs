@@ -41,11 +41,11 @@ COMMANDS:
              [--snr F|none] [--seed N] [--light]
   estimate   sample voxelwise fiber-orientation posteriors (MCMC)
              --data DIR --out DIR [--samples N] [--burnin N] [--interval N]
-             [--seed N] [--point] [--gpu]
+             [--seed N] [--point]
   track      probabilistic streamlining over estimated samples
              --data DIR (--samples-dir DIR | --cache-dir DIR) --out DIR
              [--step F] [--threshold F] [--max-steps N]
-             [--strategy B|C|single|every|uniform:K] [--seed N] [--cpu]
+             [--strategy B|C|single|every|uniform:K] [--seed N]
              [--min-export-steps N]
              [--modality mcmc|tensorline|analytic]
              [--stop-mask FILE.trv3] [--stop-threshold PCT]

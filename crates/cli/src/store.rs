@@ -1,13 +1,14 @@
 //! On-disk layout for datasets and sample volumes.
 
 use std::fs::{self, File};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter};
 use std::path::Path;
+use tracto::loaded::{acq_from_text, acq_to_text};
 use tracto_diffusion::Acquisition;
 use tracto_mcmc::SampleVolumes;
 use tracto_trace::{TractoError, TractoResult};
 use tracto_volume::io::{read_volume3, read_volume4, write_volume3, write_volume4};
-use tracto_volume::{Mask, Vec3, Volume3, Volume4};
+use tracto_volume::{Mask, Volume3, Volume4};
 
 fn create(path: &Path) -> TractoResult<BufWriter<File>> {
     File::create(path)
@@ -23,47 +24,17 @@ fn open(path: &Path) -> TractoResult<BufReader<File>> {
 
 /// Write the acquisition protocol as text: `bval gx gy gz` per line.
 pub fn write_acquisition(path: &Path, acq: &Acquisition) -> TractoResult<()> {
-    let mut f = create(path)?;
-    for i in 0..acq.len() {
-        let g = acq.grad(i);
-        writeln!(f, "{} {} {} {}", acq.bval(i), g.x, g.y, g.z)
-            .map_err(|e| TractoError::io(format!("write {}", path.display()), e))?;
-    }
-    Ok(())
+    fs::write(path, acq_to_text(acq))
+        .map_err(|e| TractoError::io(format!("write {}", path.display()), e))
 }
 
-/// Read the protocol text file.
+/// Read the protocol text file. Every row must be a measurement (finite
+/// fields, a b-value in range, a gradient on diffusion-weighted rows); a
+/// row that is not fails with a typed `Format` error naming its line.
 pub fn read_acquisition(path: &Path) -> TractoResult<Acquisition> {
-    let f = open(path)?;
-    let mut bvals = Vec::new();
-    let mut grads = Vec::new();
-    for (lineno, line) in f.lines().enumerate() {
-        let line = line.map_err(|e| TractoError::io(format!("read {}", path.display()), e))?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let parts: Vec<f64> = trimmed
-            .split_whitespace()
-            .map(|t| {
-                t.parse().map_err(|_| {
-                    TractoError::format(format!("acq.txt line {}: bad number `{t}`", lineno + 1))
-                })
-            })
-            .collect::<TractoResult<_>>()?;
-        if parts.len() != 4 {
-            return Err(TractoError::format(format!(
-                "acq.txt line {}: expected 4 columns",
-                lineno + 1
-            )));
-        }
-        bvals.push(parts[0]);
-        grads.push(Vec3::new(parts[1], parts[2], parts[3]));
-    }
-    if bvals.is_empty() {
-        return Err(TractoError::format("acq.txt: no measurements"));
-    }
-    Ok(Acquisition::new(bvals, grads))
+    let text = fs::read_to_string(path)
+        .map_err(|e| TractoError::io(format!("read {}", path.display()), e))?;
+    acq_from_text(&text).map_err(|e| TractoError::format_with(path.display().to_string(), e))
 }
 
 /// Save a dataset directory: `dwi.trv4`, `wm_mask.trv3`, `acq.txt`.
@@ -255,6 +226,21 @@ mod tests {
         let err = read_acquisition(&path).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Format);
         assert!(err.to_string().contains("no measurements"));
+        // Rows that parse but are no measurement; each once made Step 1
+        // panic or run silently.
+        for (row, needle) in [
+            ("nan 1 0 0", "non-finite value `NaN`"),
+            ("-1000 1 0 0", "negative b-value -1000"),
+            ("100001 1 0 0", "above the 100000 s/mm² ceiling"),
+            ("1000 0 0 0", "b-value 1000 with no gradient direction"),
+        ] {
+            fs::write(&path, format!("0 0 0 0\n{row}\n")).unwrap();
+            let err = read_acquisition(&path).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Format, "{row}");
+            let msg = err.to_string();
+            assert!(msg.contains("acq.txt: acq line 2: "), "{row}: {msg}");
+            assert!(msg.contains(needle), "{row}: {msg}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

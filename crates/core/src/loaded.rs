@@ -50,7 +50,8 @@ pub fn acq_to_text(acq: &Acquisition) -> String {
 }
 
 /// Parse protocol text (blank lines and `#` comments allowed). Every field
-/// must be finite and every b-value in `[0, MAX_BVAL]`; a row that is not
+/// must be finite, every b-value in `[0, MAX_BVAL]`, and every b > 0 row
+/// must carry a gradient that normalizes to a direction; a row that is not
 /// fails with a typed `Format` error naming its line.
 pub fn acq_from_text(text: &str) -> TractoResult<Acquisition> {
     let rows = acq_rows(text)?;
@@ -107,6 +108,8 @@ fn acq_rows(text: &str) -> TractoResult<AcqRows> {
 impl AcqRows {
     /// Refuse a row that is no measurement. `f64::from_str` accepts `nan`,
     /// `inf` and `1e300`, and each would reach Step 1's tensor fit and `exp`.
+    /// A diffusion-weighted row whose gradient normalizes to zero (a zero
+    /// vector, or one whose norm overflows) would be modelled as isotropic.
     fn check_values(&self) -> TractoResult<()> {
         for ((&b, g), line) in self.bvals.iter().zip(&self.grads).zip(&self.lines) {
             if let Some(v) = [b, g.x, g.y, g.z].into_iter().find(|v| !v.is_finite()) {
@@ -122,6 +125,12 @@ impl AcqRows {
             if b > MAX_BVAL {
                 return Err(TractoError::format(format!(
                     "acq line {line}: b-value {b} above the {MAX_BVAL} s/mm² ceiling"
+                )));
+            }
+            // The same test `Acquisition::new` applies before normalizing.
+            if b > 0.0 && g.normalized() == Vec3::ZERO {
+                return Err(TractoError::format(format!(
+                    "acq line {line}: b-value {b} with no gradient direction"
                 )));
             }
         }
@@ -452,6 +461,8 @@ mod tests {
             ("1e300 1 0 0", "above the 100000 s/mm² ceiling"),
             ("100000.5 1 0 0", "above the 100000 s/mm² ceiling"),
             ("-1000 1 0 0", "negative b-value -1000"),
+            ("1000 0 0 0", "b-value 1000 with no gradient direction"),
+            ("1000 1e300 0 0", "b-value 1000 with no gradient direction"),
         ] {
             let text: String = good
                 .lines()
@@ -468,7 +479,8 @@ mod tests {
             );
             assert!(msg.contains(needle), "{row}: {msg}");
         }
-        // The ceiling itself and b = 0 are measurements.
+        // The ceiling itself and b = 0 are measurements, and a b = 0 row
+        // needs no gradient.
         assert!(acq_from_text("0 0 0 0\n100000 0 0 1\n").is_ok());
     }
 

@@ -90,11 +90,10 @@ impl PipelineConfig {
 /// Execution backend.
 #[derive(Debug, Clone)]
 pub enum Backend {
-    /// Single-threaded CPU reference (the paper's baseline).
+    /// Single-threaded CPU reference (the paper's baseline and the oracle
+    /// the device kernels are checked against).
     CpuSerial,
-    /// Rayon-parallel host execution.
-    CpuParallel,
-    /// The simulated GPU with a given device model.
+    /// The simulated GPU with a given device model — the production path.
     GpuSim(DeviceConfig),
 }
 
@@ -193,19 +192,6 @@ impl Pipeline {
                     .run_serial(),
                     None,
                 ),
-                Backend::CpuParallel => (
-                    VoxelEstimator::new(
-                        &dataset.acq,
-                        &dataset.dwi,
-                        &dataset.wm_mask,
-                        cfg.prior,
-                        cfg.chain,
-                        cfg.seed,
-                    )
-                    .with_tracer(self.tracer.clone())
-                    .run_parallel(),
-                    None,
-                ),
                 Backend::GpuSim(device) => {
                     let mut gpu = Gpu::with_tracer(device.clone(), self.tracer.clone());
                     let report = run_mcmc_gpu(
@@ -264,7 +250,7 @@ impl Pipeline {
             .tracer
             .span_with("pipeline.step2", &[("seeds", seeds.len().into())]);
         let (tracking, tracking_ledger) = match &backend {
-            Backend::CpuSerial | Backend::CpuParallel => {
+            Backend::CpuSerial => {
                 let tracker = CpuTracker {
                     samples: track_samples,
                     params: track_params,
@@ -274,12 +260,7 @@ impl Pipeline {
                     run_seed: cfg.seed,
                     bidirectional: false,
                 };
-                let out = if matches!(backend, Backend::CpuSerial) {
-                    tracker.run_serial(record)
-                } else {
-                    tracker.run_parallel(record)
-                };
-                (out, None)
+                (tracker.run_serial(record), None)
             }
             Backend::GpuSim(device) => {
                 let mut gpu = Gpu::with_tracer(device.clone(), self.tracer.clone());
@@ -292,16 +273,10 @@ impl Pipeline {
                     ordering: cfg.ordering,
                     jitter,
                     run_seed: cfg.seed,
-                    record_visits: cfg.record_connectivity,
+                    record,
                 };
                 let report = tracker.run(&mut gpu, cfg.streams);
-                let out = TrackingOutput {
-                    lengths_by_sample: report.lengths_by_sample.clone(),
-                    total_steps: report.total_steps,
-                    connectivity: report.connectivity.clone(),
-                    streamlines: Vec::new(),
-                };
-                (out, Some(report.ledger))
+                (report.output, Some(report.ledger))
             }
         };
         step2.end_with(&[("total_steps", tracking.total_steps.into())]);
@@ -378,20 +353,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_backend_matches_serial() {
-        let ds = tiny_dataset();
-        let pipeline = Pipeline::new(PipelineConfig::fast());
-        let a = pipeline.run(&ds, Backend::CpuSerial);
-        let b = pipeline.run(&ds, Backend::CpuParallel);
-        assert_eq!(a.samples.th1, b.samples.th1);
-        assert_eq!(a.tracking.total_steps, b.tracking.total_steps);
-    }
-
-    #[test]
     fn connectivity_follows_the_bundle() {
         let ds = tiny_dataset();
         let pipeline = Pipeline::new(PipelineConfig::fast());
-        let out = pipeline.run(&ds, Backend::CpuParallel);
+        let out = pipeline.run(&ds, Backend::GpuSim(DeviceConfig::radeon_5870()));
         let conn = out.tracking.connectivity.expect("connectivity recorded");
         assert!(conn.total_streamlines() > 0);
         // Voxels on the bundle spine should be visited far more often than

@@ -294,7 +294,7 @@ mod tests {
             crate::ChainConfig::paper_default(),
             3,
         )
-        .run_parallel();
+        .run_serial();
         let mcmc_f2: f64 = (0..mcmc.num_samples())
             .map(|s| mcmc.sticks_at(c, s)[1].1)
             .sum::<f64>()

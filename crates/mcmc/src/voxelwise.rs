@@ -4,11 +4,11 @@
 //! volumes (DimX × DimY × DimZ × NumSamples)" (Fig. 1): per-voxel posterior
 //! samples of `(f₁, f₂, θ₁, θ₂, φ₁, φ₂)`. Chains for different voxels are
 //! completely independent — "we use one thread for the MCMC of one voxel" —
-//! so the CPU reference parallelizes voxels with rayon and the simulated-GPU
-//! path maps one voxel per lane.
+//! the serial CPU reference here runs them one after another (the Table III
+//! baseline and the oracle), and the simulated-GPU path maps one voxel per
+//! lane.
 
 use crate::chain::{run_chain, ChainConfig, ChainOutput};
-use rayon::prelude::*;
 use tracto_diffusion::posterior::{param_index, BallSticksParams, NUM_PARAMETERS};
 use tracto_diffusion::{Acquisition, BallSticksPosterior, PriorConfig};
 use tracto_rng::HybridTaus;
@@ -301,36 +301,6 @@ impl<'a> VoxelEstimator<'a> {
         }
         out
     }
-
-    /// Estimate all masked voxels in parallel with rayon (the fast host
-    /// path; the simulated-GPU path lives in the core crate where the
-    /// device model is attached).
-    pub fn run_parallel(&self) -> SampleVolumes {
-        let dims = self.dwi.dims();
-        let indices = self.mask.indices();
-        let total = indices.len();
-        let stride = progress_stride(total);
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let chains: Vec<(usize, ChainOutput<NUM_PARAMETERS>)> = indices
-            .par_iter()
-            .map(|&idx| {
-                let chain = self.run_voxel(idx);
-                let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                if n % stride == 0 || n == total {
-                    self.tracer.emit(
-                        "mcmc.progress",
-                        &[("done", n.into()), ("total", total.into())],
-                    );
-                }
-                (idx, chain)
-            })
-            .collect();
-        let mut out = SampleVolumes::zeros(dims, self.config.num_samples as usize);
-        for (idx, chain) in chains {
-            out.store_chain(dims.coords(idx), &chain);
-        }
-        out
-    }
 }
 
 /// Progress events are emitted roughly sixteen times per run, and at
@@ -365,7 +335,7 @@ mod tests {
         )
         .with_tracer(Tracer::shared(ring.clone()));
         let total = est.workload();
-        est.run_parallel();
+        est.run_serial();
         assert_eq!(ring.count("mcmc.chain"), total);
         let progress = ring.named("mcmc.progress");
         assert!(!progress.is_empty());
@@ -410,26 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_agree() {
-        let ds = datasets::single_bundle(Dim3::new(6, 4, 4), None, 5);
-        // Narrow mask to keep the test quick.
-        let mask = Mask::from_fn(ds.dwi.dims(), |c| c.k == 2 && c.j == 2);
-        let est = VoxelEstimator::new(
-            &ds.acq,
-            &ds.dwi,
-            &mask,
-            PriorConfig::default(),
-            quick_config(),
-            7,
-        );
-        let a = est.run_serial();
-        let b = est.run_parallel();
-        assert_eq!(a.f1, b.f1);
-        assert_eq!(a.th1, b.th1);
-        assert_eq!(a.ph2, b.ph2);
-    }
-
-    #[test]
     fn sample_volume_shapes() {
         let ds = datasets::single_bundle(Dim3::new(6, 4, 4), None, 5);
         let mask = Mask::from_fn(ds.dwi.dims(), |c| c.i == 3 && c.j == 2 && c.k == 2);
@@ -441,7 +391,7 @@ mod tests {
             quick_config(),
             7,
         );
-        let vols = est.run_parallel();
+        let vols = est.run_serial();
         assert_eq!(vols.dims(), ds.dwi.dims());
         assert_eq!(vols.num_samples(), quick_config().num_samples as usize);
     }
@@ -480,7 +430,7 @@ mod tests {
                 quick_config(),
                 99,
             )
-            .run_parallel()
+            .run_serial()
         };
         let a = make();
         let b = make();

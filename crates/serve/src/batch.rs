@@ -110,18 +110,9 @@ fn build_lanes(jobs: &[BatchJob], job_indices: impl Iterator<Item = usize>) -> V
             let field = SampleFieldView::new(&job.samples, sample);
             for (seed_idx, &seed) in job.seeds.iter().enumerate() {
                 let pos = jittered_seed(seed, job.run_seed, sample, seed_idx, job.jitter);
-                let dir =
-                    initial_direction(&field, pos, job.params.min_fraction).unwrap_or(Vec3::ZERO);
-                let mut walker = if job.record_visits {
-                    Walker::new_recording(seed_idx as u32, pos, dir)
-                } else {
-                    Walker::new(seed_idx as u32, pos, dir)
-                };
-                if dir == Vec3::ZERO {
-                    walker.stop = StopReason::NoDirection;
-                }
+                let dir = initial_direction(&field, pos, job.params.min_fraction);
                 lanes.push(BatchLane {
-                    walker,
+                    walker: Walker::start(seed_idx as u32, pos, dir, job.record_visits),
                     job: job_idx as u32,
                     sample: sample as u32,
                 });
@@ -131,30 +122,18 @@ fn build_lanes(jobs: &[BatchJob], job_indices: impl Iterator<Item = usize>) -> V
     lanes
 }
 
-fn fresh_accumulators(jobs: &[BatchJob]) -> Vec<JobAccum> {
+/// Per-job results, filled as lanes retire: lengths by (sample, seed),
+/// total steps, and the visit counts when the job records them.
+fn fresh_outputs(jobs: &[BatchJob]) -> Vec<TrackingOutput> {
     jobs.iter()
-        .map(|j| {
-            (
-                vec![vec![0u32; j.seeds.len()]; j.samples.num_samples()],
-                0u64,
-                j.record_visits
-                    .then(|| ConnectivityAccumulator::new(j.samples.dims())),
-            )
+        .map(|j| TrackingOutput {
+            lengths_by_sample: vec![vec![0u32; j.seeds.len()]; j.samples.num_samples()],
+            total_steps: 0,
+            connectivity: j
+                .record_visits
+                .then(|| ConnectivityAccumulator::new(j.samples.dims())),
+            streamlines: Vec::new(),
         })
-        .collect()
-}
-
-fn finish_accumulators(per_job: Vec<JobAccum>) -> Vec<TrackingOutput> {
-    per_job
-        .into_iter()
-        .map(
-            |(lengths_by_sample, total_steps, connectivity)| TrackingOutput {
-                lengths_by_sample,
-                total_steps,
-                connectivity,
-                streamlines: Vec::new(),
-            },
-        )
         .collect()
 }
 
@@ -271,7 +250,7 @@ pub fn run_batch_streamed(
         .expect("non-empty");
     let budgets = strategy.budgets(max_steps);
 
-    let mut per_job = fresh_accumulators(jobs);
+    let mut per_job = fresh_outputs(jobs);
     let kernel = BatchKernel { jobs };
     let mut launches = 0u64;
     let mut charged = 0u64;
@@ -355,7 +334,7 @@ pub fn run_batch_streamed(
     let wall_s = multi.wall_s() - wall_before;
     let serial_s = multi.serial_s() - serial_before;
     Ok(BatchReport {
-        per_job: finish_accumulators(per_job),
+        per_job,
         ledger: ledger_delta(&ledger_before, &multi.aggregate_ledger()),
         wall_s,
         serial_s,
@@ -408,7 +387,7 @@ pub fn run_batch(
         .expect("non-empty");
     let budgets = strategy.budgets(max_steps);
 
-    let mut per_job = fresh_accumulators(jobs);
+    let mut per_job = fresh_outputs(jobs);
 
     let kernel = BatchKernel { jobs };
     let mut launches = 0u64;
@@ -453,7 +432,7 @@ pub fn run_batch(
     let wall_s = multi.wall_s() - wall_before;
     let serial_s = multi.serial_s() - serial_before;
     Ok(BatchReport {
-        per_job: finish_accumulators(per_job),
+        per_job,
         ledger: ledger_delta(&ledger_before, &multi.aggregate_ledger()),
         wall_s,
         serial_s,
@@ -469,16 +448,12 @@ pub fn run_batch(
     })
 }
 
-/// Per-job accumulation during a batch: lengths by (sample, seed),
-/// total steps, and the optional connectivity accumulator.
-type JobAccum = (Vec<Vec<u32>>, u64, Option<ConnectivityAccumulator>);
-
-fn retire(lane: &BatchLane, per_job: &mut [JobAccum]) {
-    let (lengths, total_steps, connectivity) = &mut per_job[lane.job as usize];
+fn retire(lane: &BatchLane, per_job: &mut [TrackingOutput]) {
+    let out = &mut per_job[lane.job as usize];
     let seed = lane.walker.seed_id as usize;
-    lengths[lane.sample as usize][seed] = lane.walker.steps;
-    *total_steps += lane.walker.steps as u64;
-    if let Some(acc) = connectivity.as_mut() {
+    out.lengths_by_sample[lane.sample as usize][seed] = lane.walker.steps;
+    out.total_steps += lane.walker.steps as u64;
+    if let Some(acc) = out.connectivity.as_mut() {
         if lane.walker.path.is_empty() {
             acc.add_empty();
         } else {
@@ -491,6 +466,7 @@ fn retire(lane: &BatchLane, per_job: &mut [JobAccum]) {
 mod tests {
     use super::*;
     use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
+    use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
     use tracto_gpu_sim::{DeviceConfig, Gpu};
     use tracto_volume::Dim3;
 
@@ -553,9 +529,9 @@ mod tests {
             ordering: SeedOrdering::Natural,
             jitter: job.jitter,
             run_seed: job.run_seed,
-            record_visits: job.record_visits,
+            record: RecordMode::LengthsOnly,
         };
-        let r = tracker.run(&mut Gpu::new(device()), 1);
+        let r = tracker.run(&mut Gpu::new(device()), 1).output;
         (r.lengths_by_sample, r.total_steps)
     }
 
@@ -586,10 +562,17 @@ mod tests {
 
     #[test]
     fn batched_connectivity_matches_solo() {
+        // The second seed sits in a stick-free slab: dead on arrival, an
+        // empty streamline on every path, never a visit.
         let dims = Dim3::new(10, 6, 6);
-        let sv = x_samples(dims, 2);
+        let mut sv = (*x_samples(dims, 2)).clone();
+        for c in dims.iter().filter(|c| c.j >= 4) {
+            (0..2).for_each(|s| sv.f1.set(c, s, 0.0));
+        }
+        let sv = Arc::new(sv);
         let strategy = SegmentationStrategy::paper_c();
-        let mut job = batch_job(&sv, vec![Vec3::new(0.0, 2.0, 2.0)], 3, 200);
+        let seeds = vec![Vec3::new(0.0, 2.0, 2.0), Vec3::new(0.0, 4.0, 2.0)];
+        let mut job = batch_job(&sv, seeds, 3, 200);
         job.record_visits = true;
         job.jitter = 0.0;
         let mut multi = MultiGpu::new(device(), 1);
@@ -605,12 +588,24 @@ mod tests {
             ordering: SeedOrdering::Natural,
             jitter: 0.0,
             run_seed: 3,
-            record_visits: true,
+            record: RecordMode::Connectivity,
         };
-        let solo = tracker.run(&mut Gpu::new(device()), 1);
-        let solo_acc = solo.connectivity.unwrap();
-        assert_eq!(batched.total_streamlines(), solo_acc.total_streamlines());
-        assert_eq!(batched.probability_volume(), solo_acc.probability_volume());
+        let solo = tracker.run(&mut Gpu::new(device()), 1).output;
+        let cpu = CpuTracker {
+            samples: &job.samples,
+            params: job.params,
+            seeds: job.seeds.clone(),
+            mask: None,
+            jitter: 0.0,
+            run_seed: 3,
+            bidirectional: false,
+        }
+        .run_serial(RecordMode::Connectivity);
+        assert!(cpu.all_lengths().contains(&0), "no dead-on-arrival seed");
+        for other in [solo.connectivity.unwrap(), cpu.connectivity.unwrap()] {
+            assert_eq!(batched.total_streamlines(), other.total_streamlines());
+            assert_eq!(batched.probability_volume(), other.probability_volume());
+        }
     }
 
     #[test]

@@ -11,12 +11,16 @@
 //! ```
 //!
 //! One lane tracks one streamline; lanes are compacted between launches so
-//! every launch's wavefronts are densely packed with live walkers.
+//! every launch's wavefronts are densely packed with live walkers. This is
+//! the production Step-2 driver: it hands back lengths, connectivity, and
+//! (in [`RecordMode::Streamlines`]) the exported fibers themselves, the
+//! way GPUStreamlines' tracker returns its streamlines chunk by chunk.
 
 use crate::connectivity::ConnectivityAccumulator;
+use crate::deterministic::Streamline;
 use crate::field::SampleFieldView;
 use crate::getter::{lane_rng, PosteriorSampleGetter};
-use crate::probabilistic::{initial_direction, jittered_seed};
+use crate::probabilistic::{initial_direction, jittered_seed, RecordMode, TrackingOutput};
 use crate::segmentation::SegmentationStrategy;
 use crate::stop::StopStack;
 use crate::walker::{StopReason, TrackingParams, Walker};
@@ -28,6 +32,9 @@ use tracto_volume::{Mask, Vec3};
 /// Simulated size of one lane's transferable state (float3 position +
 /// float3 direction + step counter + status word).
 pub const LANE_BYTES: u64 = 32;
+
+/// Simulated size of one exported streamline point (float3).
+pub const POINT_BYTES: u64 = 12;
 
 /// Bytes of one sample volume resident on the device: six f32 fields
 /// (f₁, f₂, θ₁, φ₁, θ₂, φ₂) over the grid.
@@ -106,8 +113,9 @@ pub struct GpuTracker<'a> {
     pub jitter: f64,
     /// Run seed.
     pub run_seed: u64,
-    /// Record per-voxel visits (costs lane memory; off for timing runs).
-    pub record_visits: bool,
+    /// What to collect: lengths only (timing runs), per-voxel visits, or
+    /// visits plus exported fibers of at least `min_steps` steps.
+    pub record: RecordMode,
 }
 
 /// Result of a GPU-simulated tracking run.
@@ -115,17 +123,15 @@ pub struct GpuTracker<'a> {
 pub struct GpuTrackingReport {
     /// Timing breakdown (kernel / reduction / transfer — Table II columns).
     pub ledger: TimingLedger,
-    /// `lengths_by_sample[s][seed]`: steps per original seed index.
-    pub lengths_by_sample: Vec<Vec<u32>>,
+    /// Lengths per (sample, original seed index), total steps, and what
+    /// [`GpuTracker::record`] asked for — the same shape and, run for run,
+    /// the same values as [`CpuTracker::run_serial`](crate::CpuTracker::run_serial).
+    pub output: TrackingOutput,
     /// Submission order per sample (original seed indices) — thread loads in
     /// SIMD order are `order.map(|i| lengths[i])`.
     pub submission_orders: Vec<Vec<u32>>,
     /// Lanes still unfinished after each segment, per sample.
     pub per_segment_unfinished: Vec<Vec<usize>>,
-    /// Total steps (Table II "Total fiber length").
-    pub total_steps: u64,
-    /// Visit counts when `record_visits` was set.
-    pub connectivity: Option<ConnectivityAccumulator>,
 }
 
 impl GpuTrackingReport {
@@ -133,18 +139,8 @@ impl GpuTrackingReport {
     pub fn thread_loads(&self, sample: usize) -> Vec<u32> {
         self.submission_orders[sample]
             .iter()
-            .map(|&i| self.lengths_by_sample[sample][i as usize])
+            .map(|&i| self.output.lengths_by_sample[sample][i as usize])
             .collect()
-    }
-
-    /// Longest fiber across the run.
-    pub fn longest(&self) -> u32 {
-        self.lengths_by_sample
-            .iter()
-            .flatten()
-            .copied()
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -174,21 +170,32 @@ impl<'a> GpuTracker<'a> {
     ///
     /// Results do not depend on `streams`: streams reorder *time* only —
     /// every walker is stepped by the same code in the same per-lane order,
-    /// and retirement writes are indexed by seed, never order-dependent.
+    /// and retirement writes are indexed by seed, never order-dependent
+    /// (kept fibers are sorted by (sample, seed) once at the end).
+    ///
+    /// In [`RecordMode::Streamlines`] mode each segment's new trajectory
+    /// points come back on one extra device→host transfer of
+    /// [`POINT_BYTES`] per point; the other modes charge exactly what they
+    /// did before fiber export existed.
     pub fn run(&self, gpu: &mut Gpu, streams: usize) -> GpuTrackingReport {
         gpu.reset();
         let num_samples = self.samples.num_samples();
         let n_seeds = self.seeds.len();
         let budgets = self.strategy.budgets(self.params.max_steps);
         let volume_bytes = sample_volume_bytes(self.samples);
+        let recording = self.record != RecordMode::LengthsOnly;
+        let exporting = matches!(self.record, RecordMode::Streamlines { .. });
 
-        let mut lengths_by_sample = vec![vec![0u32; n_seeds]; num_samples];
+        let mut output = TrackingOutput {
+            lengths_by_sample: vec![vec![0u32; n_seeds]; num_samples],
+            total_steps: 0,
+            connectivity: recording.then(|| ConnectivityAccumulator::new(self.samples.dims())),
+            streamlines: Vec::new(),
+        };
+        // Kept fibers tagged with their sample, in retirement order.
+        let mut kept: Vec<(usize, Streamline)> = Vec::new();
         let mut submission_orders: Vec<Vec<u32>> = Vec::with_capacity(num_samples);
         let mut per_segment_unfinished: Vec<Vec<usize>> = Vec::with_capacity(num_samples);
-        let mut connectivity = self
-            .record_visits
-            .then(|| ConnectivityAccumulator::new(self.samples.dims()));
-        let mut total_steps = 0u64;
         let mut pilot_lengths: Option<Vec<u32>> = None;
 
         // Sorted ordering needs the pilot's lengths before any other
@@ -239,23 +246,11 @@ impl<'a> GpuTracker<'a> {
                             seed_idx as usize,
                             self.jitter,
                         );
-                        let dir = initial_direction(&field, pos, self.params.min_fraction)
-                            .unwrap_or(Vec3::ZERO);
-                        let walker = if self.record_visits {
-                            Walker::new_recording(seed_idx, pos, dir)
-                        } else {
-                            Walker::new(seed_idx, pos, dir)
-                        };
-                        let mut lane = TrackLane {
-                            walker,
+                        let dir = initial_direction(&field, pos, self.params.min_fraction);
+                        TrackLane {
+                            walker: Walker::start(seed_idx, pos, dir, recording),
                             rng: lane_rng(self.run_seed, sample, seed_idx as usize),
-                        };
-                        if dir == Vec3::ZERO {
-                            // No eligible population at the seed: dead on
-                            // arrival, finishes in the first iteration.
-                            lane.walker.stop = StopReason::NoDirection;
                         }
-                        lane
                     })
                     .collect();
                 gpu.try_transfer_to_device_on(lanes.len() as u64 * LANE_BYTES, slot)
@@ -288,25 +283,31 @@ impl<'a> GpuTracker<'a> {
                         )
                         .expect("transfer failed on a device with a fault plan");
                     }
+                    let points_before = if exporting {
+                        recorded_points(&st.lanes)
+                    } else {
+                        0
+                    };
                     gpu.try_launch_on(&st.kernel, &mut st.lanes, budget, st.stream)
                         .expect("launch failed on a device with a fault plan");
                     // ReadEndPointFromGPU(), then Reduction(): compact,
                     // retiring finished lanes.
                     gpu.try_transfer_to_host_on(st.lanes.len() as u64 * LANE_BYTES, st.stream)
                         .expect("transfer failed on a device with a fault plan");
+                    if exporting {
+                        // Drain the points this segment appended to every
+                        // lane's trajectory buffer.
+                        let points = recorded_points(&st.lanes) - points_before;
+                        gpu.try_transfer_to_host_on(points * POINT_BYTES, st.stream)
+                            .expect("transfer failed on a device with a fault plan");
+                    }
                     gpu.host_reduction_on(st.lanes.len() as u64, st.stream);
                     let mut still_running = Vec::with_capacity(st.lanes.len());
                     for lane in st.lanes.drain(..) {
                         if lane.walker.alive() {
                             still_running.push(lane);
                         } else {
-                            self.retire(
-                                &lane,
-                                st.sample,
-                                &mut lengths_by_sample,
-                                &mut connectivity,
-                                &mut total_steps,
-                            );
+                            self.retire(lane.walker, st.sample, &mut output, &mut kept);
                         }
                     }
                     st.lanes = still_running;
@@ -322,49 +323,67 @@ impl<'a> GpuTracker<'a> {
                 debug_assert!(st.lanes.is_empty(), "lanes survived the full budget");
                 gpu.device_free(volume_bytes + n_seeds as u64 * LANE_BYTES);
                 if st.sample == 0 && self.ordering == SeedOrdering::SortedByPilot {
-                    pilot_lengths = Some(lengths_by_sample[0].clone());
+                    pilot_lengths = Some(output.lengths_by_sample[0].clone());
                 }
                 submission_orders.push(st.order);
                 per_segment_unfinished.push(st.unfinished_after_segment);
             }
         }
 
+        // Lanes retire in compaction order; the CPU reference emits
+        // fibers in (sample, seed) order.
+        kept.sort_unstable_by_key(|(sample, s)| (*sample, s.seed_id));
+        output.streamlines = kept.into_iter().map(|(_, s)| s).collect();
         GpuTrackingReport {
             ledger: *gpu.ledger(),
-            lengths_by_sample,
+            output,
             submission_orders,
             per_segment_unfinished,
-            total_steps,
-            connectivity,
         }
     }
 
     fn retire(
         &self,
-        lane: &TrackLane,
+        walker: Walker,
         sample: usize,
-        lengths_by_sample: &mut [Vec<u32>],
-        connectivity: &mut Option<ConnectivityAccumulator>,
-        total_steps: &mut u64,
+        output: &mut TrackingOutput,
+        kept: &mut Vec<(usize, Streamline)>,
     ) {
-        let seed = lane.walker.seed_id as usize;
-        lengths_by_sample[sample][seed] = lane.walker.steps;
-        *total_steps += lane.walker.steps as u64;
-        if let Some(acc) = connectivity.as_mut() {
-            if lane.walker.path.is_empty() {
+        output.lengths_by_sample[sample][walker.seed_id as usize] = walker.steps;
+        output.total_steps += walker.steps as u64;
+        if let Some(acc) = output.connectivity.as_mut() {
+            if walker.path.is_empty() {
                 acc.add_empty();
             } else {
-                acc.add_path(&lane.walker.path);
+                acc.add_path(&walker.path);
+            }
+        }
+        if let RecordMode::Streamlines { min_steps } = self.record {
+            if walker.steps >= min_steps {
+                kept.push((
+                    sample,
+                    Streamline {
+                        seed_id: walker.seed_id,
+                        points: walker.path,
+                        steps: walker.steps,
+                        stop: walker.stop,
+                    },
+                ));
             }
         }
     }
+}
+
+/// Trajectory points held by `lanes`' recording buffers.
+fn recorded_points(lanes: &[TrackLane]) -> u64 {
+    lanes.iter().map(|l| l.walker.path.len() as u64).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::field::InterpMode;
-    use crate::probabilistic::{CpuTracker, RecordMode};
+    use crate::probabilistic::CpuTracker;
     use tracto_gpu_sim::DeviceConfig;
     use tracto_volume::Dim3;
 
@@ -413,7 +432,7 @@ mod tests {
             ordering: SeedOrdering::Natural,
             jitter: 0.4,
             run_seed: 5,
-            record_visits: false,
+            record: RecordMode::LengthsOnly,
         }
     }
 
@@ -425,26 +444,60 @@ mod tests {
 
     #[test]
     fn gpu_lengths_match_cpu_reference() {
+        // A stop mask, and seeds in a stick-free slab (dead on arrival),
+        // under a permuted submission order: lengths, visits and exported
+        // fibers must all equal the serial CPU reference.
         let dims = Dim3::new(12, 6, 6);
-        let sv = x_samples(dims, 3);
-        let seeds = line_seeds(dims);
-        let gpu_run =
-            tracker(&sv, seeds.clone(), SegmentationStrategy::paper_b()).run(&mut small_gpu(), 1);
+        let mut sv = x_samples(dims, 3);
+        for c in dims.iter().filter(|c| c.j >= 4) {
+            (0..3).for_each(|s| sv.f1.set(c, s, 0.0));
+        }
+        let mask = Mask::from_fn(dims, |c| c.i < 9);
+        let mut seeds = line_seeds(dims);
+        seeds.extend(
+            seeds
+                .clone()
+                .into_iter()
+                .map(|p| p + Vec3::new(0.0, 2.0, 0.0)),
+        );
+        let mut t = tracker(&sv, seeds, SegmentationStrategy::paper_b());
+        t.mask = Some(&mask);
+        t.ordering = SeedOrdering::SortedByPilot;
+        t.record = RecordMode::Streamlines { min_steps: 2 };
         let cpu = CpuTracker {
             samples: &sv,
             params: params(),
-            seeds,
-            mask: None,
+            seeds: t.seeds.clone(),
+            mask: t.mask,
             jitter: 0.4,
             run_seed: 5,
             bidirectional: false,
         }
-        .run_serial(RecordMode::LengthsOnly);
-        assert_eq!(
-            gpu_run.lengths_by_sample, cpu.lengths_by_sample,
-            "bit-identical results regardless of segmentation (the paper's CPU≡GPU check)"
-        );
-        assert_eq!(gpu_run.total_steps, cpu.total_steps);
+        .run_serial(t.record);
+        assert!(cpu.all_lengths().contains(&0), "no dead-on-arrival seed");
+        assert!(cpu
+            .streamlines
+            .iter()
+            .any(|s| s.stop == StopReason::OutOfMask));
+        for streams in [1usize, 3] {
+            let gpu = t.run(&mut small_gpu(), streams).output;
+            assert_eq!(
+                gpu.lengths_by_sample, cpu.lengths_by_sample,
+                "bit-identical results regardless of segmentation (the paper's CPU≡GPU check)"
+            );
+            assert_eq!(gpu.total_steps, cpu.total_steps);
+            let (g, c) = (
+                gpu.connectivity.unwrap(),
+                cpu.connectivity.as_ref().unwrap(),
+            );
+            assert_eq!(g.total_streamlines(), c.total_streamlines());
+            assert!(dims.iter().all(|v| g.count(v) == c.count(v)));
+            assert_eq!(gpu.streamlines.len(), cpu.streamlines.len());
+            for (g, c) in gpu.streamlines.iter().zip(&cpu.streamlines) {
+                assert_eq!((g.seed_id, g.steps, g.stop), (c.seed_id, c.steps, c.stop));
+                assert_eq!(g.points, c.points);
+            }
+        }
     }
 
     #[test]
@@ -463,7 +516,7 @@ mod tests {
         .map(|s| tracker(&sv, seeds.clone(), s).run(&mut small_gpu(), 1))
         .collect();
         for r in &runs[1..] {
-            assert_eq!(r.lengths_by_sample, runs[0].lengths_by_sample);
+            assert_eq!(r.output.lengths_by_sample, runs[0].output.lengths_by_sample);
         }
     }
 
@@ -510,7 +563,7 @@ mod tests {
         // Sample 0 is the pilot: natural order.
         assert_eq!(run.submission_orders[0], (0..12).collect::<Vec<u32>>());
         // Later samples are sorted by descending pilot length.
-        let pilot = &run.lengths_by_sample[0];
+        let pilot = &run.output.lengths_by_sample[0];
         let order1 = &run.submission_orders[1];
         for w in order1.windows(2) {
             assert!(
@@ -519,7 +572,7 @@ mod tests {
             );
         }
         // Lengths are still reported per original seed.
-        assert_eq!(run.lengths_by_sample[1].len(), 12);
+        assert_eq!(run.output.lengths_by_sample[1].len(), 12);
     }
 
     #[test]
@@ -529,7 +582,10 @@ mod tests {
         let seeds = line_seeds(dims);
         let run = tracker(&sv, seeds, SegmentationStrategy::Single).run(&mut small_gpu(), 1);
         let loads = run.thread_loads(0);
-        assert_eq!(loads, run.lengths_by_sample[0], "natural order is identity");
+        assert_eq!(
+            loads, run.output.lengths_by_sample[0],
+            "natural order is identity"
+        );
     }
 
     #[test]
@@ -541,10 +597,10 @@ mod tests {
             vec![Vec3::new(0.0, 2.0, 2.0)],
             SegmentationStrategy::paper_b(),
         );
-        t.record_visits = true;
+        t.record = RecordMode::Connectivity;
         t.jitter = 0.0;
         let run = t.run(&mut small_gpu(), 1);
-        let acc = run.connectivity.unwrap();
+        let acc = run.output.connectivity.unwrap();
         assert_eq!(acc.total_streamlines(), 2);
         assert!(acc.probability(tracto_volume::Ijk::new(5, 2, 2)) > 0.9);
     }
@@ -565,26 +621,58 @@ mod tests {
         let sv = x_samples(dims, 5);
         let seeds = line_seeds(dims);
         let mut t = tracker(&sv, seeds, SegmentationStrategy::paper_b());
-        t.record_visits = true;
+        t.record = RecordMode::Connectivity;
         let serial = t.run(&mut small_gpu(), 1);
         for streams in [2usize, 3, 8] {
             let streamed = t.run(&mut small_gpu(), streams);
-            assert_eq!(streamed.lengths_by_sample, serial.lengths_by_sample);
-            assert_eq!(streamed.total_steps, serial.total_steps);
+            assert_eq!(
+                streamed.output.lengths_by_sample,
+                serial.output.lengths_by_sample
+            );
+            assert_eq!(streamed.output.total_steps, serial.output.total_steps);
             assert_eq!(streamed.submission_orders, serial.submission_orders);
             assert_eq!(
                 streamed.per_segment_unfinished,
                 serial.per_segment_unfinished
             );
             let (a, b) = (
-                serial.connectivity.as_ref().unwrap(),
-                streamed.connectivity.as_ref().unwrap(),
+                serial.output.connectivity.as_ref().unwrap(),
+                streamed.output.connectivity.as_ref().unwrap(),
             );
             assert_eq!(a.total_streamlines(), b.total_streamlines());
             for c in dims.iter() {
                 assert_eq!(a.count(c), b.count(c));
             }
         }
+    }
+
+    #[test]
+    fn only_fiber_export_adds_readback() {
+        let dims = Dim3::new(12, 6, 6);
+        let sv = x_samples(dims, 2);
+        let mut t = tracker(&sv, line_seeds(dims), SegmentationStrategy::paper_b());
+        let lengths_only = t.run(&mut small_gpu(), 1);
+        t.record = RecordMode::Connectivity;
+        let visits = t.run(&mut small_gpu(), 1);
+        // `wall_kernel_s` is host time; every simulated column must match.
+        let simulated = |l: TimingLedger| TimingLedger {
+            wall_kernel_s: 0.0,
+            ..l
+        };
+        assert_eq!(
+            simulated(visits.ledger),
+            simulated(lengths_only.ledger),
+            "visits are free"
+        );
+        t.record = RecordMode::Streamlines { min_steps: 0 };
+        let fibers = t.run(&mut small_gpu(), 1);
+        // Every device-produced point (one per step) comes back once.
+        assert_eq!(
+            fibers.ledger.bytes_d2h - lengths_only.ledger.bytes_d2h,
+            lengths_only.output.total_steps * POINT_BYTES
+        );
+        assert!(fibers.ledger.transfer_s > lengths_only.ledger.transfer_s);
+        assert_eq!(fibers.ledger.kernel_s, lengths_only.ledger.kernel_s);
     }
 
     #[test]
@@ -616,7 +704,10 @@ mod tests {
         let serial = t.run(&mut small_gpu(), 1);
         let streamed = t.run(&mut small_gpu(), 3);
         assert_eq!(streamed.submission_orders, serial.submission_orders);
-        assert_eq!(streamed.lengths_by_sample, serial.lengths_by_sample);
+        assert_eq!(
+            streamed.output.lengths_by_sample,
+            serial.output.lengths_by_sample
+        );
     }
 
     #[test]
@@ -626,14 +717,15 @@ mod tests {
         let run =
             tracker(&sv, line_seeds(dims), SegmentationStrategy::Single).run(&mut small_gpu(), 1);
         assert_eq!(
-            run.longest(),
-            run.lengths_by_sample
+            run.output.longest(),
+            run.output
+                .lengths_by_sample
                 .iter()
                 .flatten()
                 .copied()
                 .max()
                 .unwrap()
         );
-        assert!(run.longest() > 0);
+        assert!(run.output.longest() > 0);
     }
 }

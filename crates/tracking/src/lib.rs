@@ -22,8 +22,8 @@
 //! * [`walker`] — one streamline walker: stepping through a getter under
 //!   a stop stack (plus the fused legacy fast path);
 //! * [`deterministic`] — whole-streamline tracking from a seed;
-//! * [`probabilistic`] — the CPU reference probabilistic-streamlining driver
-//!   (serial baseline + rayon-parallel host path);
+//! * [`probabilistic`] — the serial CPU reference probabilistic-streamlining
+//!   driver (the Table II baseline and the oracle for the GPU tracker);
 //! * [`analytic`] — the closed-form fast tier: posterior-mean collapse,
 //!   rescaled voxel-hop parameters, and the no-streamline
 //!   local-connectivity map (after Cieslak et al.);
@@ -31,7 +31,8 @@
 //!   segments, the increasing-interval arrays `B` and `C`, single-launch
 //!   `A_MaxStep`, per-step `A_1`, and load-sorted variants (Fig. 4);
 //! * [`gpu`] — Algorithm 1: the segmented tracking loop on the simulated
-//!   GPU, with per-segment compaction and the full timing breakdown;
+//!   GPU, with per-segment compaction, the full timing breakdown, and
+//!   streamline export — the production tracker;
 //! * [`tensorline`] — the classical deterministic single-tensor baseline;
 //! * [`connectivity`] — visit counting and the connectivity matrix;
 //! * [`export`] — streamline polyline export (CSV) for the biological

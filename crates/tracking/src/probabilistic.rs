@@ -1,11 +1,11 @@
 //! The CPU reference implementation of probabilistic streamlining — the
-//! baseline whose time is the "CPU time" column of Table II.
+//! baseline whose time is the "CPU time" column of Table II, and the serial
+//! oracle the simulated-GPU tracker is checked against.
 
 use crate::connectivity::ConnectivityAccumulator;
 use crate::deterministic::{track_bidirectional, track_streamline, Streamline};
 use crate::field::{dominant_direction, OrientationField, SampleFieldView};
 use crate::walker::{StopReason, TrackingParams};
-use rayon::prelude::*;
 use tracto_mcmc::SampleVolumes;
 use tracto_rng::{HybridTaus, RandomSource};
 use tracto_volume::{Ijk, Mask, Vec3};
@@ -159,25 +159,36 @@ impl<'a> CpuTracker<'a> {
         }
     }
 
-    fn assemble(
-        &self,
-        mode: RecordMode,
-        per_sample: Vec<(Vec<u32>, Option<ConnectivityAccumulator>, Vec<Streamline>)>,
-    ) -> TrackingOutput {
-        let mut lengths_by_sample = Vec::with_capacity(per_sample.len());
-        let mut connectivity = match mode {
-            RecordMode::LengthsOnly => None,
-            _ => Some(ConnectivityAccumulator::new(self.samples.dims())),
-        };
+    /// Run serially — the Table II "CPU time" baseline and the reference
+    /// output of every CPU ≡ GPU check. Samples run in order and seeds in
+    /// order within a sample, so retained streamlines come out sorted by
+    /// (sample, seed).
+    pub fn run_serial(&self, mode: RecordMode) -> TrackingOutput {
+        let record = !matches!(mode, RecordMode::LengthsOnly);
+        let mut connectivity = record.then(|| ConnectivityAccumulator::new(self.samples.dims()));
         let mut streamlines = Vec::new();
         let mut total_steps = 0u64;
-        for (lengths, conn, lines) in per_sample {
-            total_steps += lengths.iter().map(|&l| l as u64).sum::<u64>();
-            lengths_by_sample.push(lengths);
-            if let (Some(acc), Some(c)) = (connectivity.as_mut(), conn.as_ref()) {
-                acc.merge(c);
+        let mut lengths_by_sample = Vec::with_capacity(self.samples.num_samples());
+        for sample in 0..self.samples.num_samples() {
+            let mut lengths = Vec::with_capacity(self.seeds.len());
+            for seed_idx in 0..self.seeds.len() {
+                let s = self.track_one(sample, seed_idx, record);
+                lengths.push(s.steps);
+                total_steps += s.steps as u64;
+                if let Some(acc) = connectivity.as_mut() {
+                    if s.points.is_empty() {
+                        acc.add_empty();
+                    } else {
+                        acc.add_path(&s.points);
+                    }
+                }
+                if let RecordMode::Streamlines { min_steps } = mode {
+                    if s.steps >= min_steps {
+                        streamlines.push(s);
+                    }
+                }
             }
-            streamlines.extend(lines);
+            lengths_by_sample.push(lengths);
         }
         TrackingOutput {
             lengths_by_sample,
@@ -185,56 +196,6 @@ impl<'a> CpuTracker<'a> {
             connectivity,
             streamlines,
         }
-    }
-
-    fn run_sample(
-        &self,
-        sample: usize,
-        mode: RecordMode,
-    ) -> (Vec<u32>, Option<ConnectivityAccumulator>, Vec<Streamline>) {
-        let record = !matches!(mode, RecordMode::LengthsOnly);
-        let mut lengths = Vec::with_capacity(self.seeds.len());
-        let mut conn = match mode {
-            RecordMode::LengthsOnly => None,
-            _ => Some(ConnectivityAccumulator::new(self.samples.dims())),
-        };
-        let mut kept = Vec::new();
-        for seed_idx in 0..self.seeds.len() {
-            let mut s = self.track_one(sample, seed_idx, record);
-            lengths.push(s.steps);
-            if let Some(acc) = conn.as_mut() {
-                if s.points.is_empty() {
-                    acc.add_empty();
-                } else {
-                    acc.add_path(&s.points);
-                }
-            }
-            if let RecordMode::Streamlines { min_steps } = mode {
-                if s.steps >= min_steps {
-                    kept.push(s);
-                    continue;
-                }
-            }
-            s.points = Vec::new();
-        }
-        (lengths, conn, kept)
-    }
-
-    /// Run serially — the Table II "CPU time" baseline.
-    pub fn run_serial(&self, mode: RecordMode) -> TrackingOutput {
-        let per_sample: Vec<_> = (0..self.samples.num_samples())
-            .map(|s| self.run_sample(s, mode))
-            .collect();
-        self.assemble(mode, per_sample)
-    }
-
-    /// Run with rayon parallelism over samples.
-    pub fn run_parallel(&self, mode: RecordMode) -> TrackingOutput {
-        let per_sample: Vec<_> = (0..self.samples.num_samples())
-            .into_par_iter()
-            .map(|s| self.run_sample(s, mode))
-            .collect();
-        self.assemble(mode, per_sample)
     }
 }
 
@@ -285,28 +246,6 @@ mod tests {
         assert_eq!(out.lengths_by_sample[0].len(), 2);
         assert!(out.total_steps > 0);
         assert_eq!(out.all_lengths().len(), 6);
-    }
-
-    #[test]
-    fn serial_equals_parallel() {
-        let dims = Dim3::new(8, 6, 4);
-        let sv = x_samples(dims, 4);
-        let tracker = CpuTracker {
-            samples: &sv,
-            params: params(),
-            seeds: seeds_from_mask(&Mask::from_fn(dims, |c| c.j == 3 && c.k == 2)),
-            mask: None,
-            jitter: 0.3,
-            run_seed: 7,
-            bidirectional: false,
-        };
-        let a = tracker.run_serial(RecordMode::Connectivity);
-        let b = tracker.run_parallel(RecordMode::Connectivity);
-        assert_eq!(a.lengths_by_sample, b.lengths_by_sample);
-        assert_eq!(a.total_steps, b.total_steps);
-        let ca = a.connectivity.unwrap().probability_volume();
-        let cb = b.connectivity.unwrap().probability_volume();
-        assert_eq!(ca, cb);
     }
 
     #[test]

@@ -99,6 +99,22 @@ impl Walker {
         w
     }
 
+    /// Start a kernel lane's walker from its seed's initial direction
+    /// (`None` when the seed has no eligible population). Such a seed is
+    /// dead on arrival: stopped before its first step and recording
+    /// nothing, so it counts as an empty streamline, as on the CPU
+    /// reference.
+    pub fn start(seed_id: u32, pos: Vec3, dir: Option<Vec3>, record: bool) -> Self {
+        match dir.filter(|&d| d != Vec3::ZERO) {
+            None => Walker {
+                stop: StopReason::NoDirection,
+                ..Self::new(seed_id, pos, Vec3::ZERO)
+            },
+            Some(d) if record => Self::new_recording(seed_id, pos, d),
+            Some(d) => Self::new(seed_id, pos, d),
+        }
+    }
+
     /// Whether the walker is still tracking.
     #[inline]
     pub fn alive(&self) -> bool {

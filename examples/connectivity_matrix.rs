@@ -22,15 +22,19 @@ fn main() {
     let cfg = PipelineConfig::fast();
 
     println!("estimating posteriors over {} voxels…", fiber_mask.count());
-    let samples = VoxelEstimator::new(
+    let samples = run_mcmc_gpu(
+        &mut Gpu::new(DeviceConfig::radeon_5870()),
         &dataset.acq,
         &dataset.dwi,
         &fiber_mask,
         cfg.prior,
         cfg.chain,
         cfg.seed,
+        1,
+        None,
     )
-    .run_parallel();
+    .expect("a fault-free device cannot fail")
+    .samples;
 
     // Four arm regions around the crossing center.
     let cx = dims.nx / 2;
@@ -48,7 +52,8 @@ fn main() {
     }
 
     // Track from every region, recording full streamlines so each can be
-    // attributed to its seed region.
+    // attributed to its seed region. Bidirectional tracking exists only on
+    // the serial CPU tracker.
     let params = TrackingParams {
         step_length: 0.25,
         angular_threshold: 0.85,
@@ -66,7 +71,7 @@ fn main() {
             run_seed: cfg.seed + region_idx as u64,
             bidirectional: true,
         };
-        let out = tracker.run_parallel(RecordMode::Streamlines { min_steps: 0 });
+        let out = tracker.run_serial(RecordMode::Streamlines { min_steps: 0 });
         for s in &out.streamlines {
             let visited =
                 tracto::tracking::ConnectivityAccumulator::voxels_of_path(dims, &s.points);

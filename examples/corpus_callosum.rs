@@ -1,6 +1,7 @@
 //! Reconstruct the corpus-callosum-like arc of dataset 2 and export the
 //! long fibers — the reproduction of the paper's biological results
-//! (Figs. 9, 11, 12), including the CPU-vs-GPU identity check.
+//! (Figs. 9, 11, 12): the simulated GPU exports the fibers, and the serial
+//! CPU reference checks them (the paper's CPU-vs-GPU identity check).
 //!
 //! ```sh
 //! cargo run --release --example corpus_callosum
@@ -35,19 +36,24 @@ fn main() {
     // the arc and its crossings).
     let fiber_mask = dataset.truth.fiber_mask();
     let config = PipelineConfig::fast();
-    let estimator = VoxelEstimator::new(
+    println!("running MCMC over {} voxels…", fiber_mask.count());
+    let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
+    let samples = run_mcmc_gpu(
+        &mut gpu,
         &dataset.acq,
         &dataset.dwi,
         &fiber_mask,
         config.prior,
         config.chain,
         config.seed,
-    );
-    println!("running MCMC over {} voxels…", estimator.workload());
-    let samples = estimator.run_parallel();
+        1,
+        None,
+    )
+    .expect("a fault-free device cannot fail")
+    .samples;
 
-    // Step 2 on the simulated GPU, recording visited voxels, seeded on the
-    // arc.
+    // Step 2 on the simulated GPU, recording visited voxels and exporting
+    // the long fibers, seeded on the arc.
     let seeds = seeds_from_mask(&fiber_mask);
     let params = TrackingParams {
         step_length: 0.2,
@@ -64,17 +70,15 @@ fn main() {
         ordering: SeedOrdering::Natural,
         jitter: 0.5,
         run_seed: config.seed,
-        record_visits: false,
+        record: RecordMode::Streamlines { min_steps: 100 },
     };
-    let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
-    let mut gpu_tracker = gpu_tracker;
-    gpu_tracker.record_visits = true;
     let gpu_report = gpu_tracker.run(&mut gpu, 1);
+    let gpu_out = &gpu_report.output;
     println!(
         "GPU tracking: {} streamlines/sample × {} samples, longest {} steps, simulated {:.2} s",
         seeds.len(),
         samples.num_samples(),
-        gpu_report.longest(),
+        gpu_out.longest(),
         gpu_report.ledger.total_s()
     );
 
@@ -89,15 +93,24 @@ fn main() {
         run_seed: config.seed,
         bidirectional: false,
     };
-    let cpu_out = cpu_tracker.run_parallel(RecordMode::Streamlines { min_steps: 100 });
+    let cpu_out = cpu_tracker.run_serial(RecordMode::Streamlines { min_steps: 100 });
     assert_eq!(
-        cpu_out.lengths_by_sample, gpu_report.lengths_by_sample,
+        cpu_out.lengths_by_sample, gpu_out.lengths_by_sample,
         "CPU and GPU fiber lengths must agree exactly"
     );
-    println!("CPU ≡ GPU: identical fiber lengths across all samples.");
+    assert!(
+        cpu_out
+            .streamlines
+            .iter()
+            .zip(&gpu_out.streamlines)
+            .all(|(c, g)| c.seed_id == g.seed_id && c.points == g.points)
+            && cpu_out.streamlines.len() == gpu_out.streamlines.len(),
+        "CPU and GPU fibers must agree exactly"
+    );
+    println!("CPU ≡ GPU: identical fiber lengths and exported fibers across all samples.");
 
     // Export the long fibers (the Fig. 11/12 selection).
-    let long_fibers = &cpu_out.streamlines;
+    let long_fibers = &gpu_out.streamlines;
     let summary = export::summarize(long_fibers);
     println!(
         "fibers with ≥100 steps: {} (mean {:.0} steps, max {})",
@@ -113,7 +126,7 @@ fn main() {
     // A terminal rendering of the arc (the paper's Fig. 9): MIP of the
     // connectivity map in the x-z plane, where the corpus-callosum-like
     // bundle appears as an arch.
-    if let Some(conn) = &gpu_report.connectivity {
+    if let Some(conn) = &gpu_out.connectivity {
         println!("\nconnectivity MIP (x-z plane — the arc):");
         print!(
             "{}",

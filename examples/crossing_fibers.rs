@@ -61,15 +61,19 @@ fn main() {
 
     // --- Ball-and-two-sticks posterior via MCMC on just the center voxel.
     let mask = Mask::from_fn(dims, |c| c == center);
-    let estimator = VoxelEstimator::new(
+    let samples = run_mcmc_gpu(
+        &mut Gpu::new(DeviceConfig::radeon_5870()),
         &dataset.acq,
         &dataset.dwi,
         &mask,
         PriorConfig::default(),
         ChainConfig::paper_default(),
         99,
-    );
-    let samples = estimator.run_parallel();
+        1,
+        None,
+    )
+    .expect("a fault-free device cannot fail")
+    .samples;
     // Posterior-mean directions per stick (sign-aligned within each stick).
     let n = samples.num_samples();
     let ref1 = samples.sticks_at(center, 0)[0].0;

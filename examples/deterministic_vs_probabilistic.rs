@@ -9,7 +9,7 @@
 //! ```
 
 use tracto::prelude::*;
-use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
+use tracto::tracking::probabilistic::RecordMode;
 use tracto::tracking::tensorline::{track_tensorline, TensorField};
 
 fn main() {
@@ -62,15 +62,20 @@ fn main() {
     let fiber_mask = dataset.truth.fiber_mask();
     println!("\nrunning MCMC over {} fiber voxels…", fiber_mask.count());
     let cfg = PipelineConfig::fast();
-    let samples = VoxelEstimator::new(
+    let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
+    let samples = run_mcmc_gpu(
+        &mut gpu,
         &dataset.acq,
         &dataset.dwi,
         &fiber_mask,
         cfg.prior,
         cfg.chain,
         cfg.seed,
+        1,
+        None,
     )
-    .run_parallel();
+    .expect("a fault-free device cannot fail")
+    .samples;
     let prob_params = TrackingParams {
         step_length: 0.2,
         angular_threshold: 0.8,
@@ -78,16 +83,18 @@ fn main() {
         min_fraction: 0.05,
         interp: InterpMode::Nearest,
     };
-    let tracker = CpuTracker {
+    let tracker = GpuTracker {
         samples: &samples,
         params: prob_params,
         seeds: seeds.clone(),
         mask: None,
+        strategy: SegmentationStrategy::paper_b(),
+        ordering: SeedOrdering::Natural,
         jitter: 0.3,
         run_seed: 5,
-        bidirectional: false,
+        record: RecordMode::Streamlines { min_steps: 0 },
     };
-    let out = tracker.run_parallel(RecordMode::Streamlines { min_steps: 0 });
+    let out = tracker.run(&mut gpu, 1).output;
     let mut prob_crossed = 0;
     let mut prob_total = 0;
     for s in &out.streamlines {

@@ -8,6 +8,7 @@
 
 use tracto::prelude::*;
 use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
+use tracto::tracking::probabilistic::RecordMode;
 
 fn main() {
     // A moderate phantom so every strategy runs in a few seconds.
@@ -18,15 +19,19 @@ fn main() {
     let fiber_mask = dataset.truth.fiber_mask();
     let config = PipelineConfig::fast();
     println!("estimating posteriors over {} voxels…", fiber_mask.count());
-    let samples = VoxelEstimator::new(
+    let samples = run_mcmc_gpu(
+        &mut Gpu::new(DeviceConfig::radeon_5870()),
         &dataset.acq,
         &dataset.dwi,
         &fiber_mask,
         config.prior,
         config.chain,
         config.seed,
+        1,
+        None,
     )
-    .run_parallel();
+    .expect("a fault-free device cannot fail")
+    .samples;
 
     let seeds = seeds_from_mask(&fiber_mask);
     let params = TrackingParams {
@@ -62,7 +67,7 @@ fn main() {
             ordering: SeedOrdering::Natural,
             jitter: 0.5,
             run_seed: config.seed,
-            record_visits: false,
+            record: RecordMode::LengthsOnly,
         };
         let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
         let report = tracker.run(&mut gpu, 1);
@@ -79,9 +84,9 @@ fn main() {
         );
         // Correctness: every strategy computes the identical tracking result.
         match reference_steps {
-            None => reference_steps = Some(report.total_steps),
+            None => reference_steps = Some(report.output.total_steps),
             Some(expected) => assert_eq!(
-                report.total_steps, expected,
+                report.output.total_steps, expected,
                 "strategies must not change results"
             ),
         }

@@ -6,7 +6,7 @@ use tracto::stats::ecdf::Ecdf;
 use tracto::stats::expfit::ExponentialFit;
 use tracto::synthetic::samples_from_truth;
 use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
-use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
+use tracto::tracking::probabilistic::RecordMode;
 
 struct Experiment {
     samples: SampleVolumes,
@@ -61,7 +61,7 @@ fn gpu_run(
         ordering: SeedOrdering::Natural,
         jitter: 0.5,
         run_seed: 5,
-        record_visits: false,
+        record: RecordMode::LengthsOnly,
     }
     .run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1)
 }
@@ -74,7 +74,7 @@ fn table2_shape_gpu_beats_modeled_cpu_by_tens() {
     // per tracking step on the Phenom X4).
     let exp = experiment_large();
     let report = gpu_run(&exp, SegmentationStrategy::paper_table2());
-    let cpu_model_s = report.total_steps as f64 * 2.54e-6;
+    let cpu_model_s = report.output.total_steps as f64 * 2.54e-6;
     let speedup = cpu_model_s / report.ledger.total_s();
     assert!(
         (10.0..200.0).contains(&speedup),
@@ -121,16 +121,19 @@ fn table4_shape_increasing_interval_wins() {
 #[test]
 fn fig5_shape_lengths_exponential() {
     let exp = experiment();
-    let out = CpuTracker {
+    let out = GpuTracker {
         samples: &exp.samples,
         params: params(),
         seeds: exp.seeds.clone(),
         mask: None,
+        strategy: SegmentationStrategy::paper_b(),
+        ordering: SeedOrdering::Natural,
         jitter: 0.5,
         run_seed: 5,
-        bidirectional: false,
+        record: RecordMode::LengthsOnly,
     }
-    .run_parallel(RecordMode::LengthsOnly);
+    .run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1)
+    .output;
     let lengths: Vec<f64> = out
         .all_lengths()
         .into_iter()
@@ -163,7 +166,7 @@ fn fig4_shape_sorting_fails_across_samples() {
         ordering: SeedOrdering::SortedByPilot,
         jitter: 0.5,
         run_seed: 5,
-        record_visits: false,
+        record: RecordMode::LengthsOnly,
     }
     .run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1);
 
@@ -182,10 +185,10 @@ fn fig4_shape_sorting_fails_across_samples() {
     // (c) consequently the charged work barely improves vs natural order —
     // "this method does not bring any notable improvement at all".
     let natural = gpu_run(&exp, SegmentationStrategy::Single);
-    let charged_sorted: u64 = (1..sorted.lengths_by_sample.len())
+    let charged_sorted: u64 = (1..sorted.output.lengths_by_sample.len())
         .map(|s| charged_iterations(&sorted.thread_loads(s), 64))
         .sum();
-    let charged_natural: u64 = (1..natural.lengths_by_sample.len())
+    let charged_natural: u64 = (1..natural.output.lengths_by_sample.len())
         .map(|s| charged_iterations(&natural.thread_loads(s), 64))
         .sum();
     let improvement = 1.0 - charged_sorted as f64 / charged_natural as f64;

@@ -7,6 +7,21 @@ fn angle_between(a: Vec3, b: Vec3) -> f64 {
     a.dot(b).abs().clamp(0.0, 1.0).acos()
 }
 
+/// Step 1 on the production path: MH-MCMC on the simulated GPU.
+fn estimate(
+    acq: &Acquisition,
+    dwi: &Volume4<f32>,
+    mask: &Mask,
+    prior: PriorConfig,
+    config: ChainConfig,
+    seed: u64,
+) -> SampleVolumes {
+    let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
+    tracto::run_mcmc_gpu(&mut gpu, acq, dwi, mask, prior, config, seed, 1, None)
+        .expect("a fault-free device cannot fail")
+        .samples
+}
+
 /// Posterior-mean dominant direction at a voxel.
 fn mean_dir(samples: &SampleVolumes, c: Ijk) -> Vec3 {
     samples.mean_principal_direction(c)
@@ -16,7 +31,7 @@ fn mean_dir(samples: &SampleVolumes, c: Ijk) -> Vec3 {
 fn recovers_bundle_directions_across_the_volume() {
     let ds = datasets::single_bundle(Dim3::new(12, 8, 8), Some(30.0), 5);
     let fiber = ds.truth.fiber_mask();
-    let est = VoxelEstimator::new(
+    let samples = estimate(
         &ds.acq,
         &ds.dwi,
         &fiber,
@@ -24,7 +39,6 @@ fn recovers_bundle_directions_across_the_volume() {
         ChainConfig::fast_test(),
         17,
     );
-    let samples = est.run_parallel();
     let mut ok = 0;
     let mut total = 0;
     for c in fiber.coords() {
@@ -49,7 +63,7 @@ fn resolves_ninety_degree_crossing() {
     let center = Ijk::new(6, 6, 2);
     assert_eq!(ds.truth.at(center).count, 2);
     let mask = Mask::from_fn(dims, |c| c == center);
-    let est = VoxelEstimator::new(
+    let samples = estimate(
         &ds.acq,
         &ds.dwi,
         &mask,
@@ -57,7 +71,6 @@ fn resolves_ninety_degree_crossing() {
         ChainConfig::paper_default(),
         3,
     );
-    let samples = est.run_parallel();
     // Mean directions of both sticks.
     let n = samples.num_samples();
     let r1 = samples.sticks_at(center, 0)[0].0;
@@ -91,7 +104,7 @@ fn noise_widens_posterior_dispersion() {
     let spread = |snr: Option<f64>| {
         let ds = datasets::single_bundle(dims, snr, 4);
         let mask = Mask::from_fn(dims, |x| x == c);
-        let est = VoxelEstimator::new(
+        let samples = estimate(
             &ds.acq,
             &ds.dwi,
             &mask,
@@ -99,7 +112,6 @@ fn noise_widens_posterior_dispersion() {
             ChainConfig::paper_default(),
             21,
         );
-        let samples = est.run_parallel();
         let mean = samples.mean_principal_direction(c);
         let n = samples.num_samples();
         (0..n)
@@ -125,7 +137,7 @@ fn isotropic_voxels_get_low_fractions() {
     let off_bundle = Ijk::new(5, 0, 0);
     assert_eq!(ds.truth.at(off_bundle).count, 0);
     let mask = Mask::from_fn(dims, |c| c == off_bundle);
-    let est = VoxelEstimator::new(
+    let samples = estimate(
         &ds.acq,
         &ds.dwi,
         &mask,
@@ -133,7 +145,6 @@ fn isotropic_voxels_get_low_fractions() {
         ChainConfig::paper_default(),
         13,
     );
-    let samples = est.run_parallel();
     let mean_f1 = samples.mean_f1(off_bundle);
     assert!(mean_f1 < 0.25, "isotropic voxel mean f1 = {mean_f1}");
 }
@@ -157,7 +168,7 @@ fn gpu_mcmc_identical_to_cpu() {
     )
     .unwrap();
     let cpu = VoxelEstimator::new(&ds.acq, &ds.dwi, &mask, PriorConfig::default(), config, 123)
-        .run_parallel();
+        .run_serial();
     assert_eq!(gpu_out.samples.f1, cpu.f1);
     assert_eq!(gpu_out.samples.f2, cpu.f2);
     assert_eq!(gpu_out.samples.th1, cpu.th1);
@@ -197,7 +208,7 @@ fn rician_likelihood_estimates_on_rician_data() {
             likelihood,
             ..Default::default()
         };
-        VoxelEstimator::new(
+        estimate(
             &ds.acq,
             &ds.dwi,
             &mask,
@@ -205,7 +216,6 @@ fn rician_likelihood_estimates_on_rician_data() {
             ChainConfig::paper_default(),
             31,
         )
-        .run_parallel()
     };
     let gauss = run(NoiseLikelihood::Gaussian);
     let rice = run(NoiseLikelihood::Rician);
@@ -232,7 +242,7 @@ fn single_stick_model_matches_gpu_and_misses_crossings() {
         ..Default::default()
     };
     let config = ChainConfig::paper_default();
-    let cpu = VoxelEstimator::new(&ds.acq, &ds.dwi, &mask, prior, config, 3).run_parallel();
+    let cpu = VoxelEstimator::new(&ds.acq, &ds.dwi, &mask, prior, config, 3).run_serial();
     let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
     let gpu_out =
         tracto::run_mcmc_gpu(&mut gpu, &ds.acq, &ds.dwi, &mask, prior, config, 3, 1, None).unwrap();
@@ -245,8 +255,7 @@ fn single_stick_model_matches_gpu_and_misses_crossings() {
         assert_eq!(cpu.sticks_at(c, s)[1].1, 0.0);
     }
     // N = 2 finds substantial f2 at the same voxel.
-    let full = VoxelEstimator::new(&ds.acq, &ds.dwi, &mask, PriorConfig::default(), config, 3)
-        .run_parallel();
+    let full = estimate(&ds.acq, &ds.dwi, &mask, PriorConfig::default(), config, 3);
     let mean_f2: f64 = (0..full.num_samples())
         .map(|s| full.sticks_at(c, s)[1].1)
         .sum::<f64>()

@@ -3,6 +3,10 @@
 
 use tracto::prelude::*;
 
+fn gpu() -> Backend {
+    Backend::GpuSim(DeviceConfig::radeon_5870())
+}
+
 fn dataset() -> Dataset {
     DatasetSpec::paper_dataset1()
         .scaled(0.14)
@@ -14,8 +18,8 @@ fn dataset() -> Dataset {
 fn full_pipeline_runs_on_all_backends() {
     let ds = dataset();
     let pipeline = Pipeline::new(PipelineConfig::fast());
-    let cpu = pipeline.run(&ds, Backend::CpuParallel);
-    let gpu = pipeline.run(&ds, Backend::GpuSim(DeviceConfig::radeon_5870()));
+    let cpu = pipeline.run(&ds, Backend::CpuSerial);
+    let gpu = pipeline.run(&ds, gpu());
 
     // The paper's Fig. 11/12 claim, strengthened: results identical.
     assert_eq!(cpu.samples.f1, gpu.samples.f1);
@@ -41,8 +45,8 @@ fn full_pipeline_runs_on_all_backends() {
 fn pipeline_deterministic_across_runs() {
     let ds = dataset();
     let pipeline = Pipeline::new(PipelineConfig::fast());
-    let a = pipeline.run(&ds, Backend::CpuParallel);
-    let b = pipeline.run(&ds, Backend::CpuParallel);
+    let a = pipeline.run(&ds, gpu());
+    let b = pipeline.run(&ds, gpu());
     assert_eq!(a.samples.ph1, b.samples.ph1);
     assert_eq!(a.tracking.total_steps, b.tracking.total_steps);
 }
@@ -51,7 +55,7 @@ fn pipeline_deterministic_across_runs() {
 fn connectivity_concentrates_on_anatomy() {
     let ds = dataset();
     let pipeline = Pipeline::new(PipelineConfig::fast());
-    let out = pipeline.run(&ds, Backend::CpuParallel);
+    let out = pipeline.run(&ds, gpu());
     let conn = out.tracking.connectivity.expect("connectivity");
     let dims = ds.dwi.dims();
 
@@ -101,7 +105,7 @@ fn different_seeds_different_results() {
     cfg_a.seed = 1;
     let mut cfg_b = PipelineConfig::fast();
     cfg_b.seed = 2;
-    let a = Pipeline::new(cfg_a).run(&ds, Backend::CpuParallel);
-    let b = Pipeline::new(cfg_b).run(&ds, Backend::CpuParallel);
+    let a = Pipeline::new(cfg_a).run(&ds, gpu());
+    let b = Pipeline::new(cfg_b).run(&ds, gpu());
     assert_ne!(a.samples.th1, b.samples.th1, "MCMC must depend on the seed");
 }

@@ -7,6 +7,7 @@ use tracto::stats::expfit::{semilog_fit, ExponentialFit};
 use tracto::synthetic::samples_from_truth;
 use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
 use tracto::tracking::probabilistic::{CpuTracker, RecordMode};
+use tracto::tracking::TrackingOutput;
 
 /// A moderately sized workload with strong orientation dispersion: one long
 /// bundle tracked at fine step length. Most seeds sit off-fiber and stop
@@ -32,6 +33,30 @@ fn workload_large() -> (Dataset, SampleVolumes, Vec<Vec3>) {
     (ds, samples, seeds)
 }
 
+/// Step 2 on the production path: the simulated-GPU tracker.
+fn gpu_track(
+    samples: &SampleVolumes,
+    params: TrackingParams,
+    seeds: Vec<Vec3>,
+    jitter: f64,
+    run_seed: u64,
+    record: RecordMode,
+) -> TrackingOutput {
+    GpuTracker {
+        samples,
+        params,
+        seeds,
+        mask: None,
+        strategy: SegmentationStrategy::paper_b(),
+        ordering: SeedOrdering::Natural,
+        jitter,
+        run_seed,
+        record,
+    }
+    .run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1)
+    .output
+}
+
 fn params() -> TrackingParams {
     TrackingParams {
         step_length: 0.1,
@@ -46,16 +71,7 @@ fn params() -> TrackingParams {
 fn fiber_lengths_are_exponentially_distributed() {
     // The paper's central empirical finding (Fig. 5 / Eq. 4).
     let (_ds, samples, seeds) = workload();
-    let tracker = CpuTracker {
-        samples: &samples,
-        params: params(),
-        seeds,
-        mask: None,
-        jitter: 0.5,
-        run_seed: 3,
-        bidirectional: false,
-    };
-    let out = tracker.run_parallel(RecordMode::LengthsOnly);
+    let out = gpu_track(&samples, params(), seeds, 0.5, 3, RecordMode::LengthsOnly);
     // Fit the positive lengths (seeds that tracked at all).
     let lengths: Vec<f64> = out
         .all_lengths()
@@ -109,15 +125,20 @@ fn all_strategies_identical_results_different_costs() {
             ordering: SeedOrdering::Natural,
             jitter: 0.5,
             run_seed: 3,
-            record_visits: false,
+            record: RecordMode::LengthsOnly,
         };
         let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
         let report = tracker.run(&mut gpu, 1);
         match &reference {
-            None => reference = Some((report.lengths_by_sample.clone(), report.total_steps)),
+            None => {
+                reference = Some((
+                    report.output.lengths_by_sample.clone(),
+                    report.output.total_steps,
+                ))
+            }
             Some((lens, steps)) => {
-                assert_eq!(&report.lengths_by_sample, lens);
-                assert_eq!(report.total_steps, *steps);
+                assert_eq!(&report.output.lengths_by_sample, lens);
+                assert_eq!(report.output.total_steps, *steps);
             }
         }
         totals.push(report.ledger.total_s());
@@ -143,7 +164,7 @@ fn increasing_interval_beats_both_extremes_at_scale() {
             ordering: SeedOrdering::Natural,
             jitter: 0.5,
             run_seed: 3,
-            record_visits: false,
+            record: RecordMode::LengthsOnly,
         };
         let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
         tracker.run(&mut gpu, 1).ledger
@@ -186,7 +207,7 @@ fn cpu_and_gpu_trackers_agree_at_scale() {
         run_seed: 3,
         bidirectional: false,
     }
-    .run_parallel(RecordMode::LengthsOnly);
+    .run_serial(RecordMode::LengthsOnly);
     let gpu = GpuTracker {
         samples: &samples,
         params: params(),
@@ -196,11 +217,11 @@ fn cpu_and_gpu_trackers_agree_at_scale() {
         ordering: SeedOrdering::Natural,
         jitter: 0.5,
         run_seed: 3,
-        record_visits: false,
+        record: RecordMode::LengthsOnly,
     }
     .run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1);
-    assert_eq!(cpu.lengths_by_sample, gpu.lengths_by_sample);
-    assert_eq!(cpu.total_steps, gpu.total_steps);
+    assert_eq!(cpu.lengths_by_sample, gpu.output.lengths_by_sample);
+    assert_eq!(cpu.total_steps, gpu.output.total_steps);
 }
 
 #[test]
@@ -217,12 +238,12 @@ fn sorted_pilot_does_not_predict_other_samples() {
         ordering: SeedOrdering::SortedByPilot,
         jitter: 0.5,
         run_seed: 3,
-        record_visits: false,
+        record: RecordMode::LengthsOnly,
     };
     let report = tracker.run(&mut Gpu::new(DeviceConfig::radeon_5870()), 1);
     use tracto::stats::loadbalance::neighbor_mean_abs_diff;
     // Within the pilot sample, its own sorted order is perfectly smooth.
-    let pilot = &report.lengths_by_sample[0];
+    let pilot = &report.output.lengths_by_sample[0];
     let order1 = &report.submission_orders[1];
     let pilot_in_sorted_order: Vec<u32> = order1.iter().map(|&i| pilot[i as usize]).collect();
     let sample1_in_sorted_order = report.thread_loads(1);
@@ -239,16 +260,7 @@ fn longest_fiber_under_max_steps_cap() {
     let (_ds, samples, seeds) = workload();
     let mut p = params();
     p.max_steps = 300;
-    let tracker = CpuTracker {
-        samples: &samples,
-        params: p,
-        seeds,
-        mask: None,
-        jitter: 0.5,
-        run_seed: 4,
-        bidirectional: false,
-    };
-    let out = tracker.run_parallel(RecordMode::LengthsOnly);
+    let out = gpu_track(&samples, p, seeds, 0.5, 4, RecordMode::LengthsOnly);
     assert!(out.longest() <= 300);
 }
 
@@ -271,22 +283,21 @@ fn kissing_bundles_not_confused_with_crossing() {
         }
     }
     assert!(!seeds.is_empty(), "upper-arc seeds exist");
-    let tracker = CpuTracker {
-        samples: &samples,
-        params: TrackingParams {
-            step_length: 0.2,
-            angular_threshold: 0.85,
-            max_steps: 1500,
-            min_fraction: 0.05,
-            interp: InterpMode::Nearest,
-        },
-        seeds,
-        mask: None,
-        jitter: 0.3,
-        run_seed: 7,
-        bidirectional: false,
+    let params = TrackingParams {
+        step_length: 0.2,
+        angular_threshold: 0.85,
+        max_steps: 1500,
+        min_fraction: 0.05,
+        interp: InterpMode::Nearest,
     };
-    let out = tracker.run_parallel(RecordMode::Streamlines { min_steps: 10 });
+    let out = gpu_track(
+        &samples,
+        params,
+        seeds,
+        0.3,
+        7,
+        RecordMode::Streamlines { min_steps: 10 },
+    );
     let mut stayed_upper = 0;
     let mut switched_lower = 0;
     for s in &out.streamlines {
