@@ -213,7 +213,15 @@ pub fn run(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
     } else {
         CheckpointPolicy::every(checkpoint_every)
     };
-    let mut pool = if devices > 1 || fault_plan.is_some() {
+    // The pool path (run_batch_streamed) records visits only.
+    let pooled = devices > 1 || fault_plan.is_some();
+    if pooled && args.get("min-export-steps").is_some() {
+        return Err(TractoError::config(
+            "--min-export-steps: fiber export needs one device \
+             (it is not available with --devices/--fault-plan/--fault-seed)",
+        ));
+    }
+    let mut pool = if pooled {
         let mut m = MultiGpu::try_new(DeviceConfig::radeon_5870(), devices)?;
         m.set_tracer(tracer);
         if let Some(plan) = &fault_plan {
@@ -380,14 +388,23 @@ pub fn run(args: &ArgMap, tracer: &Tracer) -> TractoResult<()> {
     }
 
     println!(
-        "wrote {}: total length {} steps, longest {} steps, {} exported fibers, {:.1}s wall",
+        "wrote {}: total length {} steps, longest {} steps, {}, {:.1}s wall",
         out.display(),
         tracking.total_steps,
         tracking.longest(),
-        fibers.len(),
+        fibers_note(pooled, fibers.len()),
         t0.elapsed().as_secs_f64()
     );
     Ok(())
+}
+
+/// The fiber part of `track`'s summary line: a device pool exports none.
+fn fibers_note(pooled: bool, exported: usize) -> String {
+    if pooled {
+        "fibers: not exported on a device pool".to_string()
+    } else {
+        format!("{exported} exported fibers")
+    }
 }
 
 #[cfg(test)]
@@ -614,6 +631,41 @@ mod tests {
             err.contains("--min-export-steps") && !err.contains("--cpu,"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn pool_refuses_explicit_fiber_export() {
+        let mut fx = Fixture::bundle("px");
+        for pool in [
+            &["--devices", "2"][..],
+            &["--fault-seed", "4"],
+            &["--devices", "3", "--fault-seed", "4"],
+        ] {
+            let out = fx.out("out");
+            let extra = [pool, &["--max-steps", "100", "--min-export-steps", "8"]].concat();
+            let err = run(&fx.args(&out, &extra), &Tracer::disabled()).unwrap_err();
+            assert_eq!(err.kind(), tracto_trace::ErrorKind::Config, "{err}");
+            assert!(
+                err.to_string().contains("fiber export needs one device"),
+                "{err}"
+            );
+            assert!(!out.exists(), "refused before writing anything");
+        }
+    }
+
+    #[test]
+    fn pool_without_export_flag_says_no_fibers() {
+        let mut fx = Fixture::bundle("pn");
+        let out = fx.out("out");
+        let extra = ["--max-steps", "100", "--devices", "2"];
+        run(&fx.args(&out, &extra), &Tracer::disabled()).unwrap();
+        assert!(out.join("lengths.csv").exists());
+        assert!(!out.join("fibers.csv").exists());
+        assert_eq!(
+            fibers_note(true, 0),
+            "fibers: not exported on a device pool"
+        );
+        assert_eq!(fibers_note(false, 0), "0 exported fibers");
     }
 
     #[test]

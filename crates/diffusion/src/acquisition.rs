@@ -23,14 +23,28 @@ impl Acquisition {
     /// b=0 measurements are kept as given (conventionally zero).
     ///
     /// # Panics
-    /// If the two vectors differ in length or are empty.
+    /// If the two vectors differ in length or are empty, or if a b > 0
+    /// gradient normalizes to zero (a zero vector, or one whose norm
+    /// overflows) — the same rows every protocol decoder refuses.
     pub fn new(bvals: Vec<f64>, grads: Vec<Vec3>) -> Self {
         assert_eq!(bvals.len(), grads.len(), "bvals and gradients must pair up");
         assert!(!bvals.is_empty(), "acquisition must contain measurements");
         let grads = bvals
             .iter()
             .zip(grads)
-            .map(|(&b, g)| if b > 0.0 { g.normalized() } else { g })
+            .enumerate()
+            .map(|(i, (&b, g))| {
+                if b > 0.0 {
+                    let n = g.normalized();
+                    assert!(
+                        n != Vec3::ZERO,
+                        "measurement {i}: b = {b} needs a nonzero gradient, got {g:?}"
+                    );
+                    n
+                } else {
+                    g
+                }
+            })
             .collect();
         // Keyed on the bits, so grouping stays linear in the measurement
         // count however many distinct b-values an uploaded protocol holds.
@@ -156,6 +170,19 @@ mod tests {
         assert_eq!(a.grad(1), Vec3::X);
         assert_eq!(a.grad(2), Vec3::Y);
         assert_eq!(a.grad(0), Vec3::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "measurement 1: b = 1000 needs a nonzero gradient")]
+    fn zero_gradient_dwi_row_panics() {
+        let _ = Acquisition::new(vec![0.0, 1000.0], vec![Vec3::ZERO, Vec3::ZERO]);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a nonzero gradient")]
+    fn overflowing_gradient_dwi_row_panics() {
+        // The norm overflows to infinity, so the normalized gradient is zero.
+        let _ = Acquisition::new(vec![1000.0], vec![Vec3::new(1e300, 0.0, 0.0)]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   orientation continues into the neighbor it points at. No
 //!   streamlines at all; useful as a screening map.
 
-use crate::field::{InterpMode, SampleFieldView};
+use crate::field::{InterpMode, SampleField};
 use crate::getter::{DirectionGetter, PosteriorSampleGetter};
 use crate::walker::TrackingParams;
 use tracto_mcmc::SampleVolumes;
@@ -117,36 +117,29 @@ pub fn local_connectivity(samples: &SampleVolumes, min_fraction: f64) -> Volume3
 }
 
 /// The analytic tier as a [`DirectionGetter`]: deterministic direction
-/// selection over the collapsed posterior mean. Owns its mean volume so
-/// it can outlive the full sample stack.
+/// selection over the collapsed posterior mean. Owns its mean volume, and
+/// that volume's precomputed [`SampleField`], so it can outlive the full
+/// sample stack.
 #[derive(Debug, Clone)]
 pub struct AnalyticGetter {
     mean: SampleVolumes,
-    interp: InterpMode,
-    min_fraction: f64,
+    inner: PosteriorSampleGetter<SampleField>,
 }
 
 impl AnalyticGetter {
     /// Collapse `samples` and wrap the result.
     pub fn new(samples: &SampleVolumes, interp: InterpMode, min_fraction: f64) -> Self {
+        let mean = mean_posterior(samples);
+        let field = SampleField::build(&mean, 0);
         AnalyticGetter {
-            mean: mean_posterior(samples),
-            interp,
-            min_fraction,
+            mean,
+            inner: PosteriorSampleGetter::new(field, interp, min_fraction),
         }
     }
 
     /// The collapsed mean sample volume (always exactly one sample).
     pub fn mean(&self) -> &SampleVolumes {
         &self.mean
-    }
-
-    fn inner(&self) -> PosteriorSampleGetter<SampleFieldView<'_>> {
-        PosteriorSampleGetter::new(
-            SampleFieldView::new(&self.mean, 0),
-            self.interp,
-            self.min_fraction,
-        )
     }
 }
 
@@ -156,12 +149,12 @@ impl DirectionGetter for AnalyticGetter {
     }
 
     fn initial_directions(&self, seed: Vec3) -> Vec<Vec3> {
-        self.inner().initial_directions(seed)
+        self.inner.initial_directions(seed)
     }
 
     #[inline]
     fn next_direction(&self, pos: Vec3, prev: Vec3, rng: &mut HybridTaus) -> Option<Vec3> {
-        self.inner().next_direction(pos, prev, rng)
+        self.inner.next_direction(pos, prev, rng)
     }
 
     fn peak_count(&self) -> usize {

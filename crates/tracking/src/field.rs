@@ -1,4 +1,10 @@
 //! Orientation fields and direction selection.
+//!
+//! The trackers read posterior samples through two fields: the production
+//! drivers through a precomputed [`SampleField`] per in-flight sample, and
+//! the serial reference through a [`SampleFieldView`] that reconstructs
+//! each stick from `(θ, φ)` on every lookup — an independent read path the
+//! CPU ≡ kernel checks compare against.
 
 use tracto_mcmc::SampleVolumes;
 use tracto_volume::{Dim3, Ijk, Vec3};
@@ -53,6 +59,42 @@ impl OrientationField for SampleFieldView<'_> {
     #[inline]
     fn sticks(&self, c: Ijk) -> [(Vec3, f64); 2] {
         self.samples.sticks_at(c, self.sample)
+    }
+}
+
+/// One posterior sample volume's sticks, precomputed voxel-major: 64 B per
+/// voxel, so a lookup is one indexed load instead of four `sin_cos` and six
+/// strided loads. The host-side twin of the paper's `Copy3DImagesToGPU()`:
+/// drivers build it where they charge the sample's volume upload and drop
+/// it when the sample's lanes retire. Every entry is computed by
+/// [`SampleVolumes::sticks_at`] itself, so it tracks bit-identically to a
+/// [`SampleFieldView`] of the same sample.
+#[derive(Debug, Clone)]
+pub struct SampleField {
+    dims: Dim3,
+    sticks: Vec<[(Vec3, f64); 2]>,
+}
+
+impl SampleField {
+    /// Precompute sample `sample` of a sample stack.
+    pub fn build(samples: &SampleVolumes, sample: usize) -> Self {
+        assert!(sample < samples.num_samples(), "sample index out of range");
+        let dims = samples.dims();
+        SampleField {
+            dims,
+            sticks: dims.iter().map(|c| samples.sticks_at(c, sample)).collect(),
+        }
+    }
+}
+
+impl OrientationField for SampleField {
+    fn dims(&self) -> Dim3 {
+        self.dims
+    }
+
+    #[inline]
+    fn sticks(&self, c: Ijk) -> [(Vec3, f64); 2] {
+        self.sticks[self.dims.index(c)]
     }
 }
 

@@ -18,7 +18,7 @@
 
 use crate::connectivity::ConnectivityAccumulator;
 use crate::deterministic::Streamline;
-use crate::field::SampleFieldView;
+use crate::field::SampleField;
 use crate::getter::{lane_rng, PosteriorSampleGetter};
 use crate::probabilistic::{initial_direction, jittered_seed, RecordMode, TrackingOutput};
 use crate::segmentation::SegmentationStrategy;
@@ -51,16 +51,17 @@ pub struct TrackLane {
     rng: HybridTaus,
 }
 
-/// The tracking kernel over one sample volume: a prebuilt direction
-/// getter plus the stop-criterion stack, shared read-only across lanes.
+/// The tracking kernel over one sample volume: a direction getter over the
+/// sample's precomputed field plus the stop-criterion stack, shared
+/// read-only across lanes.
 struct TrackingKernel<'a> {
-    getter: PosteriorSampleGetter<SampleFieldView<'a>>,
+    getter: PosteriorSampleGetter<SampleField>,
     step_length: f64,
     stop: StopStack<'a>,
 }
 
 impl<'a> TrackingKernel<'a> {
-    fn new(field: SampleFieldView<'a>, params: &TrackingParams, mask: Option<&'a Mask>) -> Self {
+    fn new(field: SampleField, params: &TrackingParams, mask: Option<&'a Mask>) -> Self {
         TrackingKernel {
             getter: PosteriorSampleGetter::new(field, params.interp, params.min_fraction),
             step_length: params.step_length,
@@ -235,7 +236,9 @@ impl<'a> GpuTracker<'a> {
                     }
                     _ => (0..n_seeds as u32).collect(),
                 };
-                let field = SampleFieldView::new(self.samples, sample);
+                // The host-side layout of the volume just uploaded; it lives
+                // until the group's lanes have all retired.
+                let field = SampleField::build(self.samples, sample);
                 let lanes: Vec<TrackLane> = order
                     .iter()
                     .map(|&seed_idx| {
@@ -446,11 +449,20 @@ mod tests {
     fn gpu_lengths_match_cpu_reference() {
         // A stop mask, and seeds in a stick-free slab (dead on arrival),
         // under a permuted submission order: lengths, visits and exported
-        // fibers must all equal the serial CPU reference.
+        // fibers must all equal the serial CPU reference, which reads the
+        // samples through `SampleFieldView`, for both interpolation modes.
+        // The azimuth wobbles by ±0.1 rad per voxel so trilinear blending
+        // mixes distinct directions.
         let dims = Dim3::new(12, 6, 6);
         let mut sv = x_samples(dims, 3);
-        for c in dims.iter().filter(|c| c.j >= 4) {
-            (0..3).for_each(|s| sv.f1.set(c, s, 0.0));
+        for c in dims.iter() {
+            for s in 0..3 {
+                sv.ph1
+                    .set(c, s, 0.1 * ((c.i + 2 * c.j + s) % 3) as f32 - 0.1);
+                if c.j >= 4 {
+                    sv.f1.set(c, s, 0.0);
+                }
+            }
         }
         let mask = Mask::from_fn(dims, |c| c.i < 9);
         let mut seeds = line_seeds(dims);
@@ -464,38 +476,41 @@ mod tests {
         t.mask = Some(&mask);
         t.ordering = SeedOrdering::SortedByPilot;
         t.record = RecordMode::Streamlines { min_steps: 2 };
-        let cpu = CpuTracker {
-            samples: &sv,
-            params: params(),
-            seeds: t.seeds.clone(),
-            mask: t.mask,
-            jitter: 0.4,
-            run_seed: 5,
-            bidirectional: false,
-        }
-        .run_serial(t.record);
-        assert!(cpu.all_lengths().contains(&0), "no dead-on-arrival seed");
-        assert!(cpu
-            .streamlines
-            .iter()
-            .any(|s| s.stop == StopReason::OutOfMask));
-        for streams in [1usize, 3] {
-            let gpu = t.run(&mut small_gpu(), streams).output;
-            assert_eq!(
-                gpu.lengths_by_sample, cpu.lengths_by_sample,
-                "bit-identical results regardless of segmentation (the paper's CPU≡GPU check)"
-            );
-            assert_eq!(gpu.total_steps, cpu.total_steps);
-            let (g, c) = (
-                gpu.connectivity.unwrap(),
-                cpu.connectivity.as_ref().unwrap(),
-            );
-            assert_eq!(g.total_streamlines(), c.total_streamlines());
-            assert!(dims.iter().all(|v| g.count(v) == c.count(v)));
-            assert_eq!(gpu.streamlines.len(), cpu.streamlines.len());
-            for (g, c) in gpu.streamlines.iter().zip(&cpu.streamlines) {
-                assert_eq!((g.seed_id, g.steps, g.stop), (c.seed_id, c.steps, c.stop));
-                assert_eq!(g.points, c.points);
+        for interp in [InterpMode::Nearest, InterpMode::Trilinear] {
+            t.params.interp = interp;
+            let cpu = CpuTracker {
+                samples: &sv,
+                params: t.params,
+                seeds: t.seeds.clone(),
+                mask: t.mask,
+                jitter: 0.4,
+                run_seed: 5,
+                bidirectional: false,
+            }
+            .run_serial(t.record);
+            assert!(cpu.all_lengths().contains(&0), "no dead-on-arrival seed");
+            assert!(cpu
+                .streamlines
+                .iter()
+                .any(|s| s.stop == StopReason::OutOfMask));
+            for streams in [1usize, 3] {
+                let gpu = t.run(&mut small_gpu(), streams).output;
+                assert_eq!(
+                    gpu.lengths_by_sample, cpu.lengths_by_sample,
+                    "bit-identical results regardless of segmentation (the paper's CPU≡GPU check), {interp:?}"
+                );
+                assert_eq!(gpu.total_steps, cpu.total_steps);
+                let (g, c) = (
+                    gpu.connectivity.unwrap(),
+                    cpu.connectivity.as_ref().unwrap(),
+                );
+                assert_eq!(g.total_streamlines(), c.total_streamlines());
+                assert!(dims.iter().all(|v| g.count(v) == c.count(v)));
+                assert_eq!(gpu.streamlines.len(), cpu.streamlines.len());
+                for (g, c) in gpu.streamlines.iter().zip(&cpu.streamlines) {
+                    assert_eq!((g.seed_id, g.steps, g.stop), (c.seed_id, c.steps, c.stop));
+                    assert_eq!(g.points, c.points);
+                }
             }
         }
     }

@@ -8,8 +8,8 @@
 //! Layout:
 //!
 //! * [`field`] — the [`field::OrientationField`]
-//!   abstraction over per-voxel stick populations (posterior samples,
-//!   ground-truth fields, closures for tests) plus direction selection with
+//!   abstraction over per-voxel stick populations (precomputed posterior
+//!   samples, ground-truth fields, closures for tests) plus direction selection with
 //!   multi-fiber "maintain orientation" semantics and nearest/trilinear
 //!   interpolation;
 //! * [`getter`] — the modality layer: the object-safe
@@ -62,7 +62,7 @@ pub mod tensorline;
 pub mod walker;
 
 pub use connectivity::ConnectivityAccumulator;
-pub use field::{OrientationField, SampleFieldView};
+pub use field::{OrientationField, SampleField, SampleFieldView};
 pub use getter::{DirectionGetter, Modality};
 pub use gpu::{GpuTracker, GpuTrackingReport};
 pub use probabilistic::{CpuTracker, TrackingOutput};
@@ -79,7 +79,7 @@ pub mod prelude {
     pub use crate::connectivity::ConnectivityAccumulator;
     pub use crate::deterministic::{track_streamline, track_streamline_with, Streamline};
     pub use crate::field::{
-        select_direction, FnField, InterpMode, OrientationField, SampleFieldView,
+        select_direction, FnField, InterpMode, OrientationField, SampleField, SampleFieldView,
     };
     pub use crate::getter::{
         lane_rng, DirectionGetter, Modality, PosteriorSampleGetter, TensorlineGetter,

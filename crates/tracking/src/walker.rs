@@ -130,10 +130,12 @@ impl Walker {
     /// again — so `step_with` over a
     /// [`PosteriorSampleGetter`](crate::getter::PosteriorSampleGetter)
     /// and [`StopStack::standard`] is bit-identical to the fused fast
-    /// path. Deterministic getters never draw from `rng`.
-    pub fn step_with(
+    /// path. Deterministic getters never draw from `rng`. Generic so a
+    /// kernel over a concrete getter is monomorphized; `&dyn
+    /// DirectionGetter` works too.
+    pub fn step_with<G: DirectionGetter + ?Sized>(
         &mut self,
-        getter: &dyn DirectionGetter,
+        getter: &G,
         step_length: f64,
         stop: &StopStack<'_>,
         rng: &mut HybridTaus,
@@ -176,8 +178,11 @@ impl Walker {
     /// after the step ([`StopReason::Running`] if it may continue).
     ///
     /// One call is exactly one iteration of the GPU kernel's inner loop.
-    /// This is the fused fast path for the standard criteria; it is
-    /// asserted bit-identical to [`step_with`](Self::step_with) over the
+    /// This is the fused fast path for the standard criteria, which serve's
+    /// batch kernel runs: on its `warm_tracking` recipe it measured ~14 %
+    /// fewer ns per step than [`step_with`](Self::step_with) over a
+    /// monomorphized getter and the standard stack (EXPERIMENTS.md, "Step 2
+    /// on the host"). It is asserted bit-identical to `step_with` over the
     /// standard stack.
     pub fn step<Fld: OrientationField + ?Sized>(
         &mut self,

@@ -1,8 +1,9 @@
 //! Property-based tests of tracking invariants.
 
 use proptest::prelude::*;
+use tracto_mcmc::SampleVolumes;
 use tracto_tracking::connectivity::ConnectivityAccumulator;
-use tracto_tracking::field::{FnField, InterpMode};
+use tracto_tracking::field::{FnField, InterpMode, OrientationField, SampleField};
 use tracto_tracking::walker::{TrackingParams, Walker};
 use tracto_tracking::SegmentationStrategy;
 use tracto_volume::{Dim3, Ijk, Vec3};
@@ -17,7 +18,69 @@ fn strategy_strategy() -> impl Strategy<Value = SegmentationStrategy> {
     ]
 }
 
+/// Sample angles: arbitrary f32 plus the poles and signed zeros.
+fn angle_strategy() -> impl Strategy<Value = f32> {
+    use std::f32::consts::PI;
+    prop_oneof![
+        Just(0.0f32),
+        Just(-0.0f32),
+        Just(PI),
+        Just(-PI),
+        -7.0f32..7.0,
+    ]
+}
+
+/// Sample fractions: zero (both signs), below the tracking floor of 0.05,
+/// and anywhere in the unit interval.
+fn fraction_strategy() -> impl Strategy<Value = f32> {
+    prop_oneof![Just(0.0f32), Just(-0.0f32), 0.0f32..0.05, 0.0f32..1.0]
+}
+
+/// The bit patterns of one voxel's sticks, so `-0.0` and `0.0` differ.
+fn stick_bits(sticks: [(Vec3, f64); 2]) -> [u64; 8] {
+    let [(a, fa), (b, fb)] = sticks;
+    [a.x, a.y, a.z, fa, b.x, b.y, b.z, fb].map(f64::to_bits)
+}
+
 proptest! {
+    #[test]
+    fn sample_field_is_bit_identical_to_sticks_at(
+        entries in prop::collection::vec(
+            (
+                angle_strategy(),
+                angle_strategy(),
+                angle_strategy(),
+                angle_strategy(),
+                fraction_strategy(),
+                fraction_strategy(),
+            ),
+            36..37,
+        ),
+        sample in 0usize..3,
+    ) {
+        let dims = Dim3::new(3, 2, 2);
+        let mut sv = SampleVolumes::zeros(dims, 3);
+        for (n, &(th1, ph1, th2, ph2, f1, f2)) in entries.iter().enumerate() {
+            let (c, s) = (dims.coords(n / 3), n % 3);
+            sv.th1.set(c, s, th1);
+            sv.ph1.set(c, s, ph1);
+            sv.th2.set(c, s, th2);
+            sv.ph2.set(c, s, ph2);
+            sv.f1.set(c, s, f1);
+            sv.f2.set(c, s, f2);
+        }
+        let field = SampleField::build(&sv, sample);
+        prop_assert_eq!(field.dims(), dims);
+        for c in dims.iter() {
+            prop_assert_eq!(
+                stick_bits(field.sticks(c)),
+                stick_bits(sv.sticks_at(c, sample)),
+                "voxel {:?}",
+                c
+            );
+        }
+    }
+
     #[test]
     fn budgets_cover_max_steps_exactly(s in strategy_strategy(), max in 1u32..3000) {
         let b = s.budgets(max);

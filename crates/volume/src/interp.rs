@@ -1,5 +1,4 @@
-//! Trilinear interpolation for scalar fields and sign-disambiguated
-//! direction fields.
+//! Trilinear interpolation stencils and scalar-field sampling.
 //!
 //! The tracking kernel's `Interpolation()` step (Algorithm 1 in the paper)
 //! evaluates the local fiber orientation at a continuous trajectory point.
@@ -8,8 +7,9 @@
 //! * **nearest** — take the orientation of the nearest voxel (cheap, what the
 //!   original GPU kernel does for the sample volumes);
 //! * **trilinear** — blend the eight surrounding voxels. Because fiber
-//!   orientations are axes (sign-ambiguous), each corner direction is first
-//!   flipped into the hemisphere of a reference direction before blending.
+//!   orientations are axes (sign-ambiguous), the tracking crate flips each
+//!   corner direction into the walker's hemisphere before blending over
+//!   this module's [`TrilinearStencil`].
 
 use crate::{Dim3, Ijk, Vec3, Volume3};
 
@@ -107,75 +107,6 @@ pub fn nearest_scalar(volume: &Volume3<f32>, p: Vec3) -> f64 {
     *volume.get(c) as f64
 }
 
-/// A direction field stored as three scalar component volumes.
-///
-/// Directions are axes: `v` and `-v` are equivalent. All sampling functions
-/// take a `reference` direction and flip each sampled direction into its
-/// hemisphere before use.
-#[derive(Debug, Clone)]
-pub struct DirectionField {
-    /// x components.
-    pub dx: Volume3<f32>,
-    /// y components.
-    pub dy: Volume3<f32>,
-    /// z components.
-    pub dz: Volume3<f32>,
-}
-
-impl DirectionField {
-    /// Build from a per-voxel direction function.
-    pub fn from_fn(dims: Dim3, mut f: impl FnMut(Ijk) -> Vec3) -> Self {
-        let mut dx = Volume3::zeros(dims);
-        let mut dy = Volume3::zeros(dims);
-        let mut dz = Volume3::zeros(dims);
-        for c in dims.iter() {
-            let v = f(c);
-            dx.set(c, v.x as f32);
-            dy.set(c, v.y as f32);
-            dz.set(c, v.z as f32);
-        }
-        DirectionField { dx, dy, dz }
-    }
-
-    /// Grid dimensions.
-    pub fn dims(&self) -> Dim3 {
-        self.dx.dims()
-    }
-
-    /// The stored direction at an integer voxel.
-    #[inline]
-    pub fn at(&self, c: Ijk) -> Vec3 {
-        Vec3::new(
-            *self.dx.get(c) as f64,
-            *self.dy.get(c) as f64,
-            *self.dz.get(c) as f64,
-        )
-    }
-
-    /// Nearest-voxel direction sample, flipped toward `reference`.
-    pub fn sample_nearest(&self, p: Vec3, reference: Vec3) -> Vec3 {
-        let d = self.dims();
-        let c = Ijk::new(
-            (p.x.round().clamp(0.0, (d.nx - 1) as f64)) as usize,
-            (p.y.round().clamp(0.0, (d.ny - 1) as f64)) as usize,
-            (p.z.round().clamp(0.0, (d.nz - 1) as f64)) as usize,
-        );
-        self.at(c).aligned_with(reference)
-    }
-
-    /// Trilinear direction sample with per-corner hemisphere alignment to
-    /// `reference`, renormalized. Returns `Vec3::ZERO` when the blend
-    /// cancels out entirely (isotropic neighborhood).
-    pub fn sample_trilinear(&self, p: Vec3, reference: Vec3) -> Vec3 {
-        let st = trilinear_stencil(self.dims(), p);
-        let mut acc = Vec3::ZERO;
-        for (c, w) in st.corners.iter().zip(st.weights.iter()) {
-            acc += self.at(*c).aligned_with(reference) * *w;
-        }
-        acc.normalized()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,49 +179,5 @@ mod tests {
         let v = Volume3::from_fn(Dim3::new(3, 3, 1), |c| c.i as f32);
         // Query at arbitrary z must not panic and must use the only slice.
         assert!((trilinear_scalar(&v, Vec3::new(1.5, 1.0, 0.9)) - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn direction_field_nearest_sign_alignment() {
-        let dims = Dim3::new(2, 1, 1);
-        let f = DirectionField::from_fn(dims, |c| if c.i == 0 { Vec3::Z } else { -Vec3::Z });
-        let s = f.sample_nearest(Vec3::new(1.0, 0.0, 0.0), Vec3::Z);
-        assert!(
-            (s - Vec3::Z).norm() < 1e-12,
-            "flipped into reference hemisphere"
-        );
-        let s2 = f.sample_nearest(Vec3::new(1.0, 0.0, 0.0), -Vec3::Z);
-        assert!((s2 + Vec3::Z).norm() < 1e-12);
-    }
-
-    #[test]
-    fn direction_field_trilinear_blends_consistent_axes() {
-        // Two corners store opposite signs of the same axis; after alignment
-        // the blend must recover the axis, not cancel to zero.
-        let dims = Dim3::new(2, 1, 1);
-        let f = DirectionField::from_fn(dims, |c| if c.i == 0 { Vec3::X } else { -Vec3::X });
-        let s = f.sample_trilinear(Vec3::new(0.5, 0.0, 0.0), Vec3::X);
-        assert!((s - Vec3::X).norm() < 1e-12);
-    }
-
-    #[test]
-    fn direction_field_trilinear_unit_or_zero() {
-        let dims = Dim3::new(3, 3, 3);
-        let f = DirectionField::from_fn(dims, |c| {
-            Vec3::new(c.i as f64 - 1.0, c.j as f64 - 1.0, 1.0).normalized()
-        });
-        let s = f.sample_trilinear(Vec3::new(1.2, 1.7, 0.4), Vec3::Z);
-        assert!((s.norm() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn direction_field_at_roundtrip() {
-        let dims = Dim3::new(2, 2, 2);
-        let f = DirectionField::from_fn(dims, |c| {
-            Vec3::new(c.i as f64, c.j as f64, c.k as f64).normalized()
-        });
-        let c = Ijk::new(1, 0, 1);
-        let expected = Vec3::new(1.0, 0.0, 1.0).normalized();
-        assert!((f.at(c) - expected).norm() < 1e-6); // f32 storage rounding
     }
 }
