@@ -14,6 +14,9 @@ use tracto_trace::{TractoError, TractoResult};
 /// result this service returns, small enough to bound a hostile prefix.
 pub const MAX_FRAME_BYTES: u32 = 16 << 20;
 
+/// Capacity `read_frame` reserves for a body before its bytes arrive.
+const BODY_CHUNK: usize = 64 << 10;
+
 /// Write one frame: 4-byte big-endian length, then the payload bytes.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> TractoResult<()> {
     let bytes = payload.as_bytes();
@@ -52,14 +55,18 @@ pub fn read_frame(r: &mut impl Read) -> TractoResult<Option<String>> {
             "incoming frame of {len} bytes exceeds the {MAX_FRAME_BYTES} byte limit"
         )));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body).map_err(|e| {
-        if e.kind() == IoKind::UnexpectedEof {
-            TractoError::protocol(format!("stream ended inside a {len}-byte frame body"))
-        } else {
-            TractoError::io("read frame body", e)
-        }
-    })?;
+    // The body grows with the bytes that arrive, not with the announced
+    // length: a peer that announces 16 MiB and sends ten bytes costs the
+    // reader a small buffer, not a 16 MiB one.
+    let mut body = Vec::with_capacity((len as usize).min(BODY_CHUNK));
+    r.take(len as u64)
+        .read_to_end(&mut body)
+        .map_err(|e| TractoError::io("read frame body", e))?;
+    if body.len() < len as usize {
+        return Err(TractoError::protocol(format!(
+            "stream ended inside a {len}-byte frame body"
+        )));
+    }
     String::from_utf8(body)
         .map(Some)
         .map_err(|_| TractoError::protocol("frame body is not valid UTF-8"))
@@ -202,6 +209,44 @@ mod tests {
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Protocol);
         assert!(err.to_string().contains("exceeds"));
+    }
+
+    /// A reader that records the largest buffer it was asked to fill.
+    struct Widest<'a> {
+        bytes: &'a [u8],
+        widest: usize,
+    }
+
+    impl Read for Widest<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn body_buffer_grows_with_what_arrives_not_with_the_announcement() {
+        // A prefix announcing the largest legal frame, then ten bytes: the
+        // reader used to fill a zeroed buffer of the announced 16 MiB.
+        let mut wire = MAX_FRAME_BYTES.to_be_bytes().to_vec();
+        wire.extend_from_slice(b"0123456789");
+        let mut r = Widest {
+            bytes: &wire,
+            widest: 0,
+        };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Protocol);
+        assert!(err.to_string().contains("frame body"));
+        assert!(r.widest <= BODY_CHUNK, "asked to fill {} bytes", r.widest);
+        // A large frame that does arrive still reads whole.
+        let payload = "x".repeat(3 * BODY_CHUNK + 5);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let mut r = wire.as_slice();
+        assert_eq!(
+            read_frame(&mut r).unwrap().as_deref(),
+            Some(payload.as_str())
+        );
     }
 
     #[test]

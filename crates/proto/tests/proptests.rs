@@ -1,14 +1,17 @@
 //! Property tests for the proto decoders: whatever bytes arrive — noise,
 //! a valid encoding with flipped bytes or cut short, or a valid encoding
-//! behind a deep-nesting prefix — `FrameBuf::next_frame`,
+//! behind a deep-nesting prefix — `read_frame`, `FrameBuf::next_frame`,
 //! `Request::decode`, `Response::decode` and `b64::decode` return `Ok` or
 //! a typed `TractoError`. A panic fails the test; an unbounded recursion
-//! would abort the whole binary.
+//! would abort the whole binary. The blocking `read_frame` and the
+//! incremental `FrameBuf` must also agree frame for frame on any stream.
 
 use proptest::prelude::*;
+use std::io::{Cursor, ErrorKind as IoKind, Read};
 use tracto_proto::{
-    b64, write_frame, DatasetSpec, Event, FleetWire, FrameBuf, JobSpec, JobState, MemberWire,
-    MetricsWire, Outcome, Request, Response, TenantWire, PROTOCOL_VERSION,
+    b64, read_frame, write_frame, DatasetSpec, Event, FleetWire, FrameBuf, JobSpec, JobState,
+    MemberWire, MetricsWire, Outcome, Request, Response, TenantWire, MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
 };
 use tracto_trace::json::{self, Json, MAX_DEPTH};
 use tracto_trace::{ErrorKind, TractoResult};
@@ -161,6 +164,116 @@ fn mutate(valid: &[u8], flips: &[(f64, u8)], keep: f64) -> Vec<u8> {
     bytes
 }
 
+/// How a decoder left a byte stream.
+#[derive(Debug, PartialEq)]
+enum End {
+    /// At a frame boundary with nothing left over.
+    Clean,
+    /// Inside a frame: the stream stopped short of it.
+    Truncated,
+    /// On an error that refuses a frame (oversized, not UTF-8, or a
+    /// transport error).
+    Refused,
+}
+
+/// Run `read_frame` until it reports the end of the stream or an error,
+/// checking every read against the contract: a payload within
+/// `MAX_FRAME_BYTES`, or a `Protocol`/`Io` error.
+fn read_all(r: &mut impl Read) -> Result<(Vec<String>, End), String> {
+    let mut frames = Vec::new();
+    loop {
+        match read_frame(r) {
+            Ok(Some(payload)) => {
+                if payload.capacity() > MAX_FRAME_BYTES as usize {
+                    return Err(format!("payload buffer of {} bytes", payload.capacity()));
+                }
+                frames.push(payload);
+            }
+            Ok(None) => return Ok((frames, End::Clean)),
+            Err(e) if e.kind() == ErrorKind::Protocol && e.to_string().contains("stream ended") => {
+                return Ok((frames, End::Truncated))
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::Protocol | ErrorKind::Io) => {
+                return Ok((frames, End::Refused))
+            }
+            Err(e) => return Err(format!("read_frame error of kind {}: {e}", e.kind())),
+        }
+    }
+}
+
+/// Feed `bytes` to a `FrameBuf` cut at the relative positions `cuts` and
+/// pull every frame it yields, stopping at its first error.
+fn frame_buf_all(bytes: &[u8], cuts: &[f64]) -> (Vec<String>, End) {
+    let mut at: Vec<usize> = cuts
+        .iter()
+        .map(|&c| (c * bytes.len() as f64) as usize)
+        .chain([0, bytes.len()])
+        .collect();
+    at.sort_unstable();
+    let mut frames = FrameBuf::new();
+    let mut out = Vec::new();
+    for w in at.windows(2) {
+        frames.extend(&bytes[w[0]..w[1]]);
+        loop {
+            match frames.next_frame() {
+                Ok(Some(payload)) => out.push(payload),
+                Ok(None) => break,
+                Err(_) => return (out, End::Refused),
+            }
+        }
+    }
+    let end = if frames.pending() == 0 {
+        End::Clean
+    } else {
+        End::Truncated
+    };
+    (out, end)
+}
+
+/// A valid stream of several frames: the chosen corpus documents, in order.
+fn stream_of(picks: &[usize]) -> (Vec<String>, Vec<u8>) {
+    let corpus = corpus();
+    let docs: Vec<String> = picks
+        .iter()
+        .map(|&p| corpus[p % corpus.len()].clone())
+        .collect();
+    let mut wire = Vec::new();
+    for doc in &docs {
+        write_frame(&mut wire, doc).unwrap();
+    }
+    (docs, wire)
+}
+
+/// A reader that hands out at most `chunk` bytes per call, reports
+/// `Interrupted` on every `interrupt_every`-th call (0 = never; 1 would
+/// never make progress), and fails with a connection reset once `fail_at`
+/// bytes have gone out.
+struct Flaky<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    chunk: usize,
+    calls: usize,
+    interrupt_every: usize,
+    fail_at: Option<usize>,
+}
+
+impl Read for Flaky<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        if self.interrupt_every > 0 && self.calls % self.interrupt_every == 0 {
+            return Err(IoKind::Interrupted.into());
+        }
+        let end = self.fail_at.unwrap_or(usize::MAX).min(self.bytes.len());
+        if self.pos >= end && self.fail_at.is_some_and(|f| f < self.bytes.len()) {
+            return Err(IoKind::ConnectionReset.into());
+        }
+        let n = buf.len().min(self.chunk).min(end - self.pos);
+        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
 fn depth(v: &Json) -> usize {
     match v {
         Json::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
@@ -231,6 +344,68 @@ proptest! {
         if levels > MAX_DEPTH {
             prop_assert!(Request::decode(&doc).is_err());
             prop_assert!(Response::decode(&doc).is_err());
+        }
+    }
+
+    #[test]
+    fn read_frame_over_arbitrary_bytes_ends_typed(
+        bytes in prop::collection::vec(any_byte(), 0..512),
+        cuts in prop::collection::vec(0.0f64..1.0, 0..6),
+    ) {
+        let read = read_all(&mut Cursor::new(&bytes));
+        prop_assert!(read.is_ok(), "{read:?}");
+        prop_assert_eq!(read.unwrap(), frame_buf_all(&bytes, &cuts));
+    }
+
+    #[test]
+    fn read_frame_agrees_with_frame_buf_on_mutated_streams(
+        picks in prop::collection::vec(0usize..16, 1..5),
+        flips in prop::collection::vec((0.0f64..1.0, any_byte()), 0..6),
+        keep in 0.0f64..1.0,
+        cuts in prop::collection::vec(0.0f64..1.0, 0..6),
+    ) {
+        let (docs, wire) = stream_of(&picks);
+        // The stream as written: every payload back, in order, either way.
+        let read = read_all(&mut Cursor::new(&wire)).unwrap();
+        prop_assert_eq!(&read, &(docs.clone(), End::Clean));
+        prop_assert_eq!(&frame_buf_all(&wire, &cuts), &read);
+        // Flipped and cut short: still typed, and still in agreement.
+        let mutated = mutate(&wire, &flips, keep);
+        let read = read_all(&mut Cursor::new(&mutated));
+        prop_assert!(read.is_ok(), "{read:?}");
+        prop_assert_eq!(read.unwrap(), frame_buf_all(&mutated, &cuts));
+        // A cut alone keeps a prefix of the payloads.
+        let cut = &wire[..(keep * wire.len() as f64) as usize];
+        let (frames, end) = read_all(&mut Cursor::new(cut)).unwrap();
+        prop_assert!(docs.starts_with(&frames));
+        prop_assert!(end != End::Refused, "{end:?}");
+    }
+
+    #[test]
+    fn read_frame_rides_out_short_reads_interrupts_and_resets(
+        picks in prop::collection::vec(0usize..16, 1..5),
+        chunk in 1usize..64,
+        interrupt_every in prop_oneof![Just(0usize), 2usize..5],
+        fail_at in 0.0f64..1.5,
+    ) {
+        let (docs, wire) = stream_of(&picks);
+        let fail_at = (fail_at * wire.len() as f64) as usize;
+        let mut flaky = Flaky {
+            bytes: &wire,
+            pos: 0,
+            chunk,
+            calls: 0,
+            interrupt_every,
+            fail_at: Some(fail_at),
+        };
+        let (frames, end) = read_all(&mut flaky).unwrap();
+        prop_assert!(docs.starts_with(&frames));
+        if fail_at >= wire.len() {
+            // Short reads and interrupts alone change nothing.
+            prop_assert_eq!((frames, end), (docs, End::Clean));
+        } else {
+            prop_assert!(frames.len() < docs.len());
+            prop_assert_eq!(end, End::Refused);
         }
     }
 }

@@ -7,6 +7,19 @@
 
 use tracto_volume::{Dim3, Ijk, Mask, Vec3, Volume3};
 
+/// The linear index of the voxel a point rounds to, or `None` when that
+/// voxel lies outside the grid. A point is in the voxel whose center is
+/// nearest (`round` per axis), so `-0.5 < x < 0` is still voxel 0.
+#[inline]
+pub fn voxel_index(dims: Dim3, p: Vec3) -> Option<u32> {
+    let (i, j, k) = (p.x.round(), p.y.round(), p.z.round());
+    if i < 0.0 || j < 0.0 || k < 0.0 {
+        return None;
+    }
+    let c = Ijk::new(i as usize, j as usize, k as usize);
+    dims.contains(c).then(|| dims.index(c) as u32)
+}
+
 /// Accumulates per-voxel visit counts over many streamlines. A streamline
 /// contributes at most 1 to each voxel it traverses.
 #[derive(Debug, Clone)]
@@ -40,22 +53,9 @@ impl ConnectivityAccumulator {
     /// indices it traverses.
     pub fn voxels_of_path(dims: Dim3, points: &[Vec3]) -> Vec<u32> {
         let mut out: Vec<u32> = Vec::with_capacity(points.len() / 4 + 1);
-        let mut last = u32::MAX;
-        for p in points {
-            let i = p.x.round();
-            let j = p.y.round();
-            let k = p.z.round();
-            if i < 0.0 || j < 0.0 || k < 0.0 {
-                continue;
-            }
-            let c = Ijk::new(i as usize, j as usize, k as usize);
-            if !dims.contains(c) {
-                continue;
-            }
-            let idx = dims.index(c) as u32;
-            if idx != last {
+        for idx in points.iter().filter_map(|&p| voxel_index(dims, p)) {
+            if out.last() != Some(&idx) {
                 out.push(idx);
-                last = idx;
             }
         }
         out.sort_unstable();
@@ -120,15 +120,6 @@ impl ConnectivityAccumulator {
             .max()
             .unwrap_or(0);
         best as f64 / self.total_streamlines as f64
-    }
-
-    /// Merge another accumulator (same dims).
-    pub fn merge(&mut self, other: &ConnectivityAccumulator) {
-        assert_eq!(self.dims, other.dims, "accumulator dims must match");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total_streamlines += other.total_streamlines;
     }
 }
 
@@ -258,19 +249,6 @@ mod tests {
         for c in dims.iter() {
             assert!((*vol.get(c) as f64 - acc.probability(c)).abs() < 1e-7);
         }
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let dims = Dim3::new(2, 1, 1);
-        let mut a = ConnectivityAccumulator::new(dims);
-        let mut b = ConnectivityAccumulator::new(dims);
-        a.add_path(&[Vec3::new(0.0, 0.0, 0.0)]);
-        b.add_path(&[Vec3::new(0.0, 0.0, 0.0), Vec3::new(1.0, 0.0, 0.0)]);
-        a.merge(&b);
-        assert_eq!(a.total_streamlines(), 2);
-        assert_eq!(a.count(Ijk::new(0, 0, 0)), 2);
-        assert_eq!(a.count(Ijk::new(1, 0, 0)), 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::field::{dominant_direction, OrientationField};
 use crate::getter::{lane_rng, DirectionGetter, PosteriorSampleGetter};
 use crate::stop::StopStack;
-use crate::walker::{StopReason, TrackingParams, Walker};
+use crate::walker::{Recording, StopReason, TrackingParams, Walker};
 use tracto_rng::HybridTaus;
 use tracto_volume::{Ijk, Mask, Vec3};
 
@@ -44,7 +44,7 @@ pub fn track_streamline_with(
     record: bool,
 ) -> Streamline {
     let mut w = if record {
-        Walker::new_recording(seed_id, seed, dir)
+        Walker::new_recording(seed_id, seed, dir, Recording::Points, getter.dims())
     } else {
         Walker::new(seed_id, seed, dir)
     };

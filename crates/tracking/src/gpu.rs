@@ -23,7 +23,7 @@ use crate::getter::{lane_rng, PosteriorSampleGetter};
 use crate::probabilistic::{initial_direction, jittered_seed, RecordMode, TrackingOutput};
 use crate::segmentation::SegmentationStrategy;
 use crate::stop::StopStack;
-use crate::walker::{StopReason, TrackingParams, Walker};
+use crate::walker::{Recording, StopReason, TrackingParams, Walker};
 use tracto_gpu_sim::{Gpu, LaneStatus, SimKernel, TimingLedger};
 use tracto_mcmc::SampleVolumes;
 use tracto_rng::HybridTaus;
@@ -184,13 +184,14 @@ impl<'a> GpuTracker<'a> {
         let n_seeds = self.seeds.len();
         let budgets = self.strategy.budgets(self.params.max_steps);
         let volume_bytes = sample_volume_bytes(self.samples);
-        let recording = self.record != RecordMode::LengthsOnly;
-        let exporting = matches!(self.record, RecordMode::Streamlines { .. });
+        let recording = self.record.recording();
+        let exporting = recording == Recording::Points;
 
         let mut output = TrackingOutput {
             lengths_by_sample: vec![vec![0u32; n_seeds]; num_samples],
             total_steps: 0,
-            connectivity: recording.then(|| ConnectivityAccumulator::new(self.samples.dims())),
+            connectivity: (recording != Recording::Off)
+                .then(|| ConnectivityAccumulator::new(self.samples.dims())),
             streamlines: Vec::new(),
         };
         // Kept fibers tagged with their sample, in retirement order.
@@ -251,7 +252,13 @@ impl<'a> GpuTracker<'a> {
                         );
                         let dir = initial_direction(&field, pos, self.params.min_fraction);
                         TrackLane {
-                            walker: Walker::start(seed_idx, pos, dir, recording),
+                            walker: Walker::start(
+                                seed_idx,
+                                pos,
+                                dir,
+                                recording,
+                                self.samples.dims(),
+                            ),
                             rng: lane_rng(self.run_seed, sample, seed_idx as usize),
                         }
                     })
@@ -347,7 +354,7 @@ impl<'a> GpuTracker<'a> {
 
     fn retire(
         &self,
-        walker: Walker,
+        mut walker: Walker,
         sample: usize,
         output: &mut TrackingOutput,
         kept: &mut Vec<(usize, Streamline)>,
@@ -355,11 +362,7 @@ impl<'a> GpuTracker<'a> {
         output.lengths_by_sample[sample][walker.seed_id as usize] = walker.steps;
         output.total_steps += walker.steps as u64;
         if let Some(acc) = output.connectivity.as_mut() {
-            if walker.path.is_empty() {
-                acc.add_empty();
-            } else {
-                acc.add_path(&walker.path);
-            }
+            walker.count_into(acc);
         }
         if let RecordMode::Streamlines { min_steps } = self.record {
             if walker.steps >= min_steps {
@@ -385,6 +388,7 @@ fn recorded_points(lanes: &[TrackLane]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connectivity::voxel_index;
     use crate::field::InterpMode;
     use crate::probabilistic::CpuTracker;
     use tracto_gpu_sim::DeviceConfig;
@@ -512,6 +516,60 @@ mod tests {
                     assert_eq!(g.points, c.points);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn edge_seeds_count_like_cpu_reference() {
+        // Seeds on the grid's edge (-0.5 or n - 0.5 on one axis) under
+        // jitter 0.5: some starts round outside the grid. Such a live seed
+        // counts one streamline and only the voxels it steps into; a
+        // 0.7-voxel step lets a walker starting below -0.5 step in.
+        let dims = Dim3::new(10, 6, 6);
+        let sv = x_samples(dims, 4);
+        let mut seeds = Vec::new();
+        for j in 0..dims.ny {
+            seeds.push(Vec3::new(-0.5, j as f64, 2.0));
+            seeds.push(Vec3::new(3.0, -0.5, j as f64));
+            seeds.push(Vec3::new(9.5, j as f64, 3.0));
+            seeds.push(Vec3::new(j as f64, 2.0, 5.5));
+        }
+        let mut t = tracker(&sv, seeds, SegmentationStrategy::paper_b());
+        t.jitter = 0.5;
+        t.params.step_length = 0.7;
+        let cpu_tracker = CpuTracker {
+            samples: &sv,
+            params: t.params,
+            seeds: t.seeds.clone(),
+            mask: None,
+            jitter: t.jitter,
+            run_seed: t.run_seed,
+            bidirectional: false,
+        };
+        let lengths = cpu_tracker.run_serial(RecordMode::LengthsOnly);
+        let outside_then_in = (0..sv.num_samples()).any(|s| {
+            (0..t.seeds.len()).any(|i| {
+                let pos = jittered_seed(t.seeds[i], t.run_seed, s, i, t.jitter);
+                voxel_index(dims, pos).is_none() && lengths.lengths_by_sample[s][i] > 0
+            })
+        });
+        assert!(outside_then_in, "no start rounds outside and steps in");
+        for record in [
+            RecordMode::Connectivity,
+            RecordMode::Streamlines { min_steps: 1 },
+        ] {
+            t.record = record;
+            let cpu = cpu_tracker.run_serial(record);
+            let gpu = t.run(&mut small_gpu(), 2).output;
+            assert_eq!(gpu.lengths_by_sample, cpu.lengths_by_sample);
+            let (g, c) = (
+                gpu.connectivity.unwrap(),
+                cpu.connectivity.as_ref().unwrap(),
+            );
+            assert_eq!(g.total_streamlines(), c.total_streamlines());
+            assert_eq!(g.total_streamlines(), 4 * t.seeds.len() as u64);
+            assert!(dims.iter().all(|v| g.count(v) == c.count(v)), "{record:?}");
+            assert_eq!(gpu.streamlines.len(), cpu.streamlines.len());
         }
     }
 

@@ -68,7 +68,7 @@ pub use gpu::{GpuTracker, GpuTrackingReport};
 pub use probabilistic::{CpuTracker, TrackingOutput};
 pub use segmentation::SegmentationStrategy;
 pub use stop::{StopCriterion, StopStack};
-pub use walker::{StopReason, TrackingParams, Walker};
+pub use walker::{Recording, StopReason, TrackingParams, Walker};
 
 /// The one-line import for tracking callers: modality surface, stop
 /// criteria, trackers, and the parameter/result types.
@@ -89,5 +89,5 @@ pub mod prelude {
     pub use crate::segmentation::SegmentationStrategy;
     pub use crate::stop::{mask_from_percentile, percentile_threshold, StopCriterion, StopStack};
     pub use crate::tensorline::TensorField;
-    pub use crate::walker::{StopReason, TrackingParams, Walker};
+    pub use crate::walker::{Recording, StopReason, TrackingParams, Walker};
 }

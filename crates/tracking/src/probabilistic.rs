@@ -5,7 +5,7 @@
 use crate::connectivity::ConnectivityAccumulator;
 use crate::deterministic::{track_bidirectional, track_streamline, Streamline};
 use crate::field::{dominant_direction, OrientationField, SampleFieldView};
-use crate::walker::{StopReason, TrackingParams};
+use crate::walker::{Recording, StopReason, TrackingParams};
 use tracto_mcmc::SampleVolumes;
 use tracto_rng::{HybridTaus, RandomSource};
 use tracto_volume::{Ijk, Mask, Vec3};
@@ -24,6 +24,17 @@ pub enum RecordMode {
         /// Minimum steps for a streamline to be retained.
         min_steps: u32,
     },
+}
+
+impl RecordMode {
+    /// What a kernel lane's walker records in this mode.
+    pub fn recording(self) -> Recording {
+        match self {
+            RecordMode::LengthsOnly => Recording::Off,
+            RecordMode::Connectivity => Recording::Visits,
+            RecordMode::Streamlines { .. } => Recording::Points,
+        }
+    }
 }
 
 /// Seed positions at the centers of a mask's voxels.

@@ -1,10 +1,11 @@
 //! One streamline walker: stepping and termination.
 
+use crate::connectivity::{voxel_index, ConnectivityAccumulator};
 use crate::field::{select_direction, InterpMode, OrientationField};
 use crate::getter::DirectionGetter;
 use crate::stop::StopStack;
 use tracto_rng::HybridTaus;
-use tracto_volume::{Ijk, Mask, Vec3};
+use tracto_volume::{Dim3, Ijk, Mask, Vec3};
 
 /// Tracking configuration.
 ///
@@ -59,6 +60,17 @@ pub enum StopReason {
     Running,
 }
 
+/// What a walker records as it steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recording {
+    /// Nothing: only the step count (lengths-only runs).
+    Off,
+    /// The voxels it visits, in [`Walker::visits`] (connectivity counts).
+    Visits,
+    /// The visits plus every point, in [`Walker::path`] (fiber export).
+    Points,
+}
+
 /// A streamline walker: the per-lane state of the tracking kernel
 /// (Algorithm 1's `GetStartPoint` → iterate `Interpolation`;
 /// `StepToNextPoint`; stop-check → `SetEndPoint`).
@@ -74,12 +86,20 @@ pub struct Walker {
     pub stop: StopReason,
     /// Index of the seed this walker serves (survives compaction).
     pub seed_id: u32,
-    /// Recorded trajectory (empty unless recording was requested).
+    /// What this walker records, fixed when it starts.
+    pub recording: Recording,
+    /// Linear indices of the voxels visited, start point included, with a
+    /// voxel pushed only when it differs from the last one pushed (points
+    /// outside the grid are skipped). Empty unless recording; a live
+    /// walker whose start rounds outside the grid starts it empty too.
+    pub visits: Vec<u32>,
+    /// Trajectory points, start point included (only under
+    /// [`Recording::Points`]).
     pub path: Vec<Vec3>,
 }
 
 impl Walker {
-    /// Start a walker at `pos` heading along `dir`.
+    /// Start a walker at `pos` heading along `dir`, recording nothing.
     pub fn new(seed_id: u32, pos: Vec3, dir: Vec3) -> Self {
         Walker {
             pos,
@@ -87,15 +107,24 @@ impl Walker {
             steps: 0,
             stop: StopReason::Running,
             seed_id,
+            recording: Recording::Off,
+            visits: Vec::new(),
             path: Vec::new(),
         }
     }
 
-    /// Start a walker that records its trajectory (pre-seeded with the
-    /// start point).
-    pub fn new_recording(seed_id: u32, pos: Vec3, dir: Vec3) -> Self {
+    /// Start a walker that records what `recording` asks for over a grid
+    /// of `dims`, beginning with the start point.
+    pub fn new_recording(
+        seed_id: u32,
+        pos: Vec3,
+        dir: Vec3,
+        recording: Recording,
+        dims: Dim3,
+    ) -> Self {
         let mut w = Self::new(seed_id, pos, dir);
-        w.path.push(pos);
+        w.recording = recording;
+        w.record(dims, pos);
         w
     }
 
@@ -104,14 +133,48 @@ impl Walker {
     /// dead on arrival: stopped before its first step and recording
     /// nothing, so it counts as an empty streamline, as on the CPU
     /// reference.
-    pub fn start(seed_id: u32, pos: Vec3, dir: Option<Vec3>, record: bool) -> Self {
+    pub fn start(
+        seed_id: u32,
+        pos: Vec3,
+        dir: Option<Vec3>,
+        recording: Recording,
+        dims: Dim3,
+    ) -> Self {
         match dir.filter(|&d| d != Vec3::ZERO) {
             None => Walker {
                 stop: StopReason::NoDirection,
                 ..Self::new(seed_id, pos, Vec3::ZERO)
             },
-            Some(d) if record => Self::new_recording(seed_id, pos, d),
-            Some(d) => Self::new(seed_id, pos, d),
+            Some(d) => Self::new_recording(seed_id, pos, d, recording, dims),
+        }
+    }
+
+    /// Record a point the walker has reached.
+    #[inline]
+    fn record(&mut self, dims: Dim3, p: Vec3) {
+        if self.recording == Recording::Off {
+            return;
+        }
+        if let Some(v) = voxel_index(dims, p) {
+            if self.visits.last() != Some(&v) {
+                self.visits.push(v);
+            }
+        }
+        if self.recording == Recording::Points {
+            self.path.push(p);
+        }
+    }
+
+    /// Count this walker's streamline into `acc`: its visits, sorted and
+    /// deduplicated in place, or an empty streamline when it recorded
+    /// nothing (a dead-on-arrival seed). Called once, at retirement.
+    pub fn count_into(&mut self, acc: &mut ConnectivityAccumulator) {
+        if self.recording == Recording::Off {
+            acc.add_empty();
+        } else {
+            self.visits.sort_unstable();
+            self.visits.dedup();
+            acc.add_visited(&self.visits);
         }
     }
 
@@ -165,9 +228,7 @@ impl Walker {
         self.pos = next;
         self.dir = new_dir;
         self.steps += 1;
-        if !self.path.is_empty() {
-            self.path.push(next);
-        }
+        self.record(getter.dims(), next);
         if let Some(r) = stop.check_budget(self.steps) {
             self.stop = r;
         }
@@ -233,9 +294,7 @@ impl Walker {
         self.pos = next;
         self.dir = new_dir;
         self.steps += 1;
-        if !self.path.is_empty() {
-            self.path.push(next);
-        }
+        self.record(field.dims(), next);
         if self.steps >= params.max_steps {
             self.stop = StopReason::MaxSteps;
         }
@@ -341,13 +400,65 @@ mod tests {
     fn recording_collects_path() {
         let dims = Dim3::new(8, 4, 4);
         let f = x_field(dims);
-        let mut w = Walker::new_recording(3, Vec3::new(0.0, 2.0, 2.0), Vec3::X);
+        let start = Vec3::new(0.0, 2.0, 2.0);
+        let mut w = Walker::new_recording(3, start, Vec3::X, Recording::Points, dims);
         while w.alive() {
             w.step(&f, &params(), None);
         }
         assert_eq!(w.path.len() as u32, w.steps + 1);
         assert_eq!(w.seed_id, 3);
-        assert_eq!(w.path[0], Vec3::new(0.0, 2.0, 2.0));
+        assert_eq!(w.path[0], start);
+        // 0.5-voxel steps along x from x = 0: voxel 0, then a new voxel
+        // every other step (x = 0.5 rounds up), each pushed once.
+        let expected: Vec<u32> = (0..8)
+            .map(|i| dims.index(Ijk::new(i, 2, 2)) as u32)
+            .collect();
+        assert_eq!(w.visits, expected);
+    }
+
+    #[test]
+    fn visits_only_walker_keeps_no_points() {
+        let dims = Dim3::new(8, 4, 4);
+        let f = x_field(dims);
+        let mut w = Walker::new_recording(
+            0,
+            Vec3::new(0.0, 2.0, 2.0),
+            Vec3::X,
+            Recording::Visits,
+            dims,
+        );
+        while w.alive() {
+            w.step(&f, &params(), None);
+        }
+        assert!(w.path.is_empty());
+        assert_eq!(w.visits.len(), 8);
+    }
+
+    #[test]
+    fn start_outside_the_grid_records_later_visits_only() {
+        // x = -0.6 rounds to voxel -1: the list starts empty, yet the
+        // walker is live and records the voxels it steps into.
+        let dims = Dim3::new(4, 4, 4);
+        let f = x_field(dims);
+        let mut p = params();
+        p.step_length = 0.7;
+        let pos = Vec3::new(-0.6, 2.0, 2.0);
+        let mut w = Walker::start(0, pos, Some(Vec3::X), Recording::Visits, dims);
+        assert!(w.alive() && w.visits.is_empty());
+        while w.alive() {
+            w.step(&f, &p, None);
+        }
+        assert_eq!(w.steps, 5);
+        let mut acc = ConnectivityAccumulator::new(dims);
+        w.count_into(&mut acc);
+        assert_eq!(acc.total_streamlines(), 1);
+        assert!((0..4).all(|i| acc.count(Ijk::new(i, 2, 2)) == 1));
+        // A dead-on-arrival seed records nothing and counts as empty.
+        let mut dead = Walker::start(1, Vec3::new(1.0, 2.0, 2.0), None, Recording::Visits, dims);
+        assert!(!dead.alive() && dead.visits.is_empty());
+        dead.count_into(&mut acc);
+        assert_eq!(acc.total_streamlines(), 2);
+        assert_eq!(acc.count(Ijk::new(1, 2, 2)), 1);
     }
 
     #[test]
@@ -384,14 +495,14 @@ mod tests {
             Vec3::new(3.0, 0.5, 2.0),
             Vec3::new(14.9, 2.0, 2.0),
         ] {
-            let mut legacy = Walker::new_recording(0, seed, Vec3::Y);
+            let mut legacy = Walker::new_recording(0, seed, Vec3::Y, Recording::Points, dims);
             while legacy.alive() {
                 legacy.step(&f, &p, Some(&mask));
             }
             let getter = PosteriorSampleGetter::new(&f, p.interp, p.min_fraction);
             let stack = StopStack::standard(&p, Some(&mask));
             let mut rng = lane_rng(0, 0, 0);
-            let mut new = Walker::new_recording(0, seed, Vec3::Y);
+            let mut new = Walker::new_recording(0, seed, Vec3::Y, Recording::Points, dims);
             while new.alive() {
                 new.step_with(&getter, p.step_length, &stack, &mut rng);
             }
@@ -399,6 +510,7 @@ mod tests {
             assert_eq!(new.steps, legacy.steps);
             assert_eq!(new.pos, legacy.pos);
             assert_eq!(new.path, legacy.path);
+            assert_eq!(new.visits, legacy.visits);
         }
     }
 

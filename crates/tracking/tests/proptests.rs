@@ -2,11 +2,12 @@
 
 use proptest::prelude::*;
 use tracto_mcmc::SampleVolumes;
-use tracto_tracking::connectivity::ConnectivityAccumulator;
+use tracto_tracking::connectivity::{voxel_index, ConnectivityAccumulator};
 use tracto_tracking::field::{FnField, InterpMode, OrientationField, SampleField};
-use tracto_tracking::walker::{TrackingParams, Walker};
-use tracto_tracking::SegmentationStrategy;
-use tracto_volume::{Dim3, Ijk, Vec3};
+use tracto_tracking::getter::{lane_rng, PosteriorSampleGetter};
+use tracto_tracking::walker::{Recording, TrackingParams, Walker};
+use tracto_tracking::{SegmentationStrategy, StopStack};
+use tracto_volume::{Dim3, Ijk, Mask, Vec3};
 
 fn strategy_strategy() -> impl Strategy<Value = SegmentationStrategy> {
     prop_oneof![
@@ -152,6 +153,82 @@ proptest! {
             w.step(&f, &params, None);
         }
         prop_assert!((w.pos.x - start.x - w.steps as f64 * step).abs() < 1e-9);
+    }
+
+    #[test]
+    fn walker_visit_list_matches_voxels_of_path(
+        (nx, ny, nz) in (4usize..12, 4usize..12, 4usize..12),
+        (sx, sy, sz) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        (edge_axis, edge_at) in (0usize..6, -0.8f64..0.0),
+        (theta, phi, field_seed) in (
+            0.0f64..std::f64::consts::PI,
+            -std::f64::consts::PI..std::f64::consts::PI,
+            0u64..500,
+        ),
+        step in 0.05f64..1.2,
+        (fused, trilinear, masked) in (0u8..2, 0u8..2, 0u8..2),
+    ) {
+        // A field bent around one random heading, so walkers travel a
+        // while before a curvature stop. Half the starts lie anywhere in
+        // the grid; the others sit at -0.8..0 on one axis, heading inward,
+        // so a start below -0.5 rounds outside the grid and may step in.
+        let dims = Dim3::new(nx, ny, nz);
+        let inward = [Vec3::X, Vec3::Y, Vec3::Z];
+        let heading = match inward.get(edge_axis) {
+            Some(&axis) => (axis * 2.0 + Vec3::from_spherical(theta, phi)).normalized(),
+            None => Vec3::from_spherical(theta, phi),
+        };
+        let (theta, phi) = heading.to_spherical();
+        let f = FnField::new(dims, move |c: Ijk| {
+            let mut h = field_seed
+                .wrapping_mul(0x9E3779B97F4A7C15)
+                .wrapping_add((c.i * 73 + c.j * 1009 + c.k * 7919) as u64);
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xFF51AFD7ED558CCD);
+            let wobble = |b: u64| ((h >> b) & 0xFFFF) as f64 / 65535.0 * 0.6 - 0.3;
+            let d = Vec3::from_spherical(theta + wobble(0), phi + wobble(16));
+            [(d, 0.6), (Vec3::from_spherical(wobble(32) + 1.5, phi), 0.3)]
+        });
+        let mask = Mask::from_fn(dims, |c| c.i + c.j + c.k < (nx + ny + nz) * 2 / 3);
+        let mask = (masked == 1).then_some(&mask);
+        let params = TrackingParams {
+            step_length: step,
+            angular_threshold: 0.6,
+            max_steps: 300,
+            min_fraction: 0.05,
+            interp: if trilinear == 1 { InterpMode::Trilinear } else { InterpMode::Nearest },
+        };
+        let mut start = [sx * (nx - 1) as f64, sy * (ny - 1) as f64, sz * (nz - 1) as f64];
+        if edge_axis < 3 {
+            start[edge_axis] = edge_at;
+        }
+        let pos = Vec3::new(start[0], start[1], start[2]);
+        let mut w = Walker::new_recording(0, pos, heading, Recording::Points, dims);
+        if fused == 1 {
+            while w.alive() {
+                w.step(&f, &params, mask);
+            }
+        } else {
+            let getter = PosteriorSampleGetter::new(&f, params.interp, params.min_fraction);
+            let stack = StopStack::standard(&params, mask);
+            let mut rng = lane_rng(1, 0, 0);
+            while w.alive() {
+                w.step_with(&getter, params.step_length, &stack, &mut rng);
+            }
+        }
+        prop_assert_eq!(w.path.len() as u32, w.steps + 1);
+        // In order: the points' voxels with consecutive repeats dropped.
+        let mut in_order: Vec<u32> = Vec::new();
+        for v in w.path.iter().filter_map(|&p| voxel_index(dims, p)) {
+            if in_order.last() != Some(&v) {
+                in_order.push(v);
+            }
+        }
+        prop_assert_eq!(&w.visits, &in_order);
+        let mut visits = w.visits.clone();
+        visits.sort_unstable();
+        visits.dedup();
+        prop_assert_eq!(visits, ConnectivityAccumulator::voxels_of_path(dims, &w.path));
     }
 
     #[test]
