@@ -77,8 +77,8 @@ impl McmcLane {
 /// lockstep, as the device's SIMD unit would: one bind of the per-thread
 /// structure-of-arrays cache ([`WavefrontBallSticks`]) per launch, then
 /// each loop moves every lane through each parameter together. Counts,
-/// charges and samples equal round-robin's: chains never interact, and
-/// each lane keeps its own draws and arithmetic.
+/// charges and samples equal the lane-major default's: chains never
+/// interact, and each lane keeps its own draws and arithmetic.
 struct McmcKernel<'a> {
     acq: &'a Acquisition,
     prior: PriorConfig,
@@ -111,7 +111,7 @@ impl SimKernel for McmcKernel<'_> {
     }
 
     /// Each lane runs `min(budget, loops left)` loops; a call on a finished
-    /// chain counts one executed loop, as the round-robin `step` does.
+    /// chain counts one executed loop, as a `step` does.
     fn run_wavefront(&self, chunk: &mut [McmcLane], max_iters: u32) -> (Vec<u32>, Vec<bool>) {
         let num_loops = self.config.num_loops();
         let budget: Vec<u32> = chunk

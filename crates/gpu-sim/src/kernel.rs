@@ -52,32 +52,26 @@ pub trait SimKernel: Sync {
     /// The host order is the kernel's choice; the simulated charge is not:
     /// the launcher builds the lockstep charge from `executed` alone. Lanes
     /// never communicate, so each lane's count is `min(steps to finish,
-    /// max_iters)` under any order. The default steps lanes round-robin,
-    /// the lockstep order itself. Step 1's kernel overrides this to bind
-    /// its structure-of-arrays posterior cache once per launch and move
-    /// every lane through each parameter step together. Tracking keeps
-    /// round-robin: lane-major measured ~14 % slower on the batched walker
-    /// (`warm_tracking` job p50 72 → 83 ms).
+    /// max_iters)` under any order. The default is lane-major: each lane
+    /// runs to that count before the next lane starts, the loop of the
+    /// paper's one-thread-one-streamline kernel, which keeps one lane's
+    /// state hot in cache. Step 1's kernel overrides this to bind its
+    /// structure-of-arrays posterior cache once per launch and move every
+    /// lane through each parameter step together.
     fn run_wavefront(&self, chunk: &mut [Self::Lane], max_iters: u32) -> (Vec<u32>, Vec<bool>) {
-        let m = chunk.len();
-        let mut executed = vec![0u32; m];
-        let mut finished = vec![false; m];
-        let mut alive = m;
-        let mut iters_done = 0u32;
-        while alive > 0 && iters_done < max_iters {
-            for (i, lane) in chunk.iter_mut().enumerate() {
-                if finished[i] {
-                    continue;
+        chunk
+            .iter_mut()
+            .map(|lane| {
+                let mut executed = 0;
+                while executed < max_iters {
+                    executed += 1;
+                    if self.step(lane) == LaneStatus::Finished {
+                        return (executed, true);
+                    }
                 }
-                executed[i] += 1;
-                if self.step(lane) == LaneStatus::Finished {
-                    finished[i] = true;
-                    alive -= 1;
-                }
-            }
-            iters_done += 1;
-        }
-        (executed, finished)
+                (executed, false)
+            })
+            .unzip()
     }
 }
 
@@ -329,7 +323,7 @@ impl Gpu {
         let wall_start = Instant::now();
 
         // Run every wavefront in parallel, in the order the kernel picks
-        // (round-robin unless it overrides `run_wavefront`); the lockstep
+        // (lane-major unless it overrides `run_wavefront`); the lockstep
         // charge is the wavefront's largest executed count either way.
         let per_wavefront: Vec<(Vec<u32>, Vec<bool>, u32)> = lanes
             .par_chunks_mut(wf)

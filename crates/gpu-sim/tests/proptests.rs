@@ -17,28 +17,35 @@ impl SimKernel for Countdown {
     }
 }
 
-/// [`Countdown`] with a lane-major `run_wavefront` override: each lane
-/// runs through the whole budget before the next starts.
-struct LaneMajorCountdown;
-impl SimKernel for LaneMajorCountdown {
+/// [`Countdown`] stepped round-robin: every live lane advances one
+/// iteration per pass, the lockstep order itself. The reference order for
+/// the lane-major default.
+struct RoundRobinCountdown;
+impl SimKernel for RoundRobinCountdown {
     type Lane = u32;
     fn step(&self, lane: &mut u32) -> LaneStatus {
         Countdown.step(lane)
     }
     fn run_wavefront(&self, chunk: &mut [u32], max_iters: u32) -> (Vec<u32>, Vec<bool>) {
-        chunk
-            .iter_mut()
-            .map(|lane| {
-                let mut executed = 0;
-                while executed < max_iters {
-                    executed += 1;
-                    if self.step(lane) == LaneStatus::Finished {
-                        return (executed, true);
-                    }
+        let m = chunk.len();
+        let mut executed = vec![0u32; m];
+        let mut finished = vec![false; m];
+        let mut alive = m;
+        let mut iters_done = 0u32;
+        while alive > 0 && iters_done < max_iters {
+            for (i, lane) in chunk.iter_mut().enumerate() {
+                if finished[i] {
+                    continue;
                 }
-                (executed, false)
-            })
-            .unzip()
+                executed[i] += 1;
+                if self.step(lane) == LaneStatus::Finished {
+                    finished[i] = true;
+                    alive -= 1;
+                }
+            }
+            iters_done += 1;
+        }
+        (executed, finished)
     }
 }
 
@@ -60,15 +67,16 @@ proptest! {
     ) {
         // The `run_wavefront` contract: a kernel may pick its host order,
         // but per-lane counts, finish flags, lockstep charges, simulated
-        // kernel time and lane results must equal the round-robin default,
-        // launch by launch, over any split of the work into budgets.
+        // kernel time and lane results must not depend on it. The
+        // lane-major default must equal round-robin stepping, launch by
+        // launch, over any split of the work into budgets.
         let mut round_robin = Gpu::new(device(wavefront));
         let mut lane_major = Gpu::new(device(wavefront));
         let mut a = loads.clone();
         let mut b = loads.clone();
         for &budget in &budgets {
-            let sa = round_robin.launch(&Countdown, &mut a, budget);
-            let sb = lane_major.launch(&LaneMajorCountdown, &mut b, budget);
+            let sa = round_robin.launch(&RoundRobinCountdown, &mut a, budget);
+            let sb = lane_major.launch(&Countdown, &mut b, budget);
             prop_assert_eq!(&sa.executed, &sb.executed, "budget {}", budget);
             prop_assert_eq!(&sa.finished, &sb.finished);
             prop_assert_eq!(sa.charged_iterations, sb.charged_iterations);

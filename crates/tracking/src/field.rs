@@ -161,6 +161,18 @@ pub fn select_stick<Fld: OrientationField + ?Sized>(
     best.map(|(_, d)| d)
 }
 
+/// The voxel nearest to `pos`, clamped to the lattice: a position up to
+/// half a voxel outside the grid (a jittered edge seed) reads its edge
+/// voxel. Inside the grid it is plain rounding.
+#[inline]
+pub fn nearest_voxel(dims: Dim3, pos: Vec3) -> Ijk {
+    Ijk::new(
+        (pos.x.round().clamp(0.0, (dims.nx - 1) as f64)) as usize,
+        (pos.y.round().clamp(0.0, (dims.ny - 1) as f64)) as usize,
+        (pos.z.round().clamp(0.0, (dims.nz - 1) as f64)) as usize,
+    )
+}
+
 /// Evaluate the stepping direction at a continuous position.
 ///
 /// `prev_dir` both disambiguates stick signs and drives multi-fiber stick
@@ -176,12 +188,7 @@ pub fn select_direction<Fld: OrientationField + ?Sized>(
     let dims = field.dims();
     match mode {
         InterpMode::Nearest => {
-            let c = Ijk::new(
-                (pos.x.round().clamp(0.0, (dims.nx - 1) as f64)) as usize,
-                (pos.y.round().clamp(0.0, (dims.ny - 1) as f64)) as usize,
-                (pos.z.round().clamp(0.0, (dims.nz - 1) as f64)) as usize,
-            );
-            select_stick(field, c, prev_dir, min_fraction)
+            select_stick(field, nearest_voxel(dims, pos), prev_dir, min_fraction)
         }
         InterpMode::Trilinear => {
             let st = tracto_volume::interp::trilinear_stencil(dims, pos);

@@ -80,8 +80,8 @@ impl std::fmt::Display for Modality {
 }
 
 /// How one tracking step picks its direction. Object-safe so drivers hold
-/// `&dyn DirectionGetter`; implementations must be [`Sync`] because the
-/// simulated-GPU kernel steps lanes from rayon workers.
+/// `&dyn DirectionGetter`; implementations must be [`Sync`] so one getter
+/// can serve lanes stepped from rayon workers.
 ///
 /// Deterministic getters ignore `rng`; it is threaded through so
 /// stochastic getters (bootstrap, learned) slot in without an API change.

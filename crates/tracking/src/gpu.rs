@@ -19,14 +19,11 @@
 use crate::connectivity::ConnectivityAccumulator;
 use crate::deterministic::Streamline;
 use crate::field::SampleField;
-use crate::getter::{lane_rng, PosteriorSampleGetter};
 use crate::probabilistic::{initial_direction, jittered_seed, RecordMode, TrackingOutput};
 use crate::segmentation::SegmentationStrategy;
-use crate::stop::StopStack;
 use crate::walker::{Recording, StopReason, TrackingParams, Walker};
 use tracto_gpu_sim::{Gpu, LaneStatus, SimKernel, TimingLedger};
 use tracto_mcmc::SampleVolumes;
-use tracto_rng::HybridTaus;
 use tracto_volume::{Mask, Vec3};
 
 /// Simulated size of one lane's transferable state (float3 position +
@@ -42,43 +39,22 @@ pub fn sample_volume_bytes(samples: &SampleVolumes) -> u64 {
     6 * samples.dims().len() as u64 * 4
 }
 
-/// One tracking lane: a walker plus its identity for post-compaction
-/// bookkeeping and its private RNG stream (deterministic getters never
-/// draw from it).
-#[derive(Debug, Clone)]
-pub struct TrackLane {
-    walker: Walker,
-    rng: HybridTaus,
-}
-
-/// The tracking kernel over one sample volume: a direction getter over the
-/// sample's precomputed field plus the stop-criterion stack, shared
-/// read-only across lanes.
+/// The tracking kernel over one sample volume: the fused walker step over
+/// the sample's precomputed field, the tracking parameters and the mask,
+/// shared read-only across lanes. One lane is one [`Walker`], which keeps
+/// its seed index across compaction.
 struct TrackingKernel<'a> {
-    getter: PosteriorSampleGetter<SampleField>,
-    step_length: f64,
-    stop: StopStack<'a>,
-}
-
-impl<'a> TrackingKernel<'a> {
-    fn new(field: SampleField, params: &TrackingParams, mask: Option<&'a Mask>) -> Self {
-        TrackingKernel {
-            getter: PosteriorSampleGetter::new(field, params.interp, params.min_fraction),
-            step_length: params.step_length,
-            stop: StopStack::standard(params, mask),
-        }
-    }
+    field: SampleField,
+    params: TrackingParams,
+    mask: Option<&'a Mask>,
 }
 
 impl SimKernel for TrackingKernel<'_> {
-    type Lane = TrackLane;
+    type Lane = Walker;
 
     #[inline]
-    fn step(&self, lane: &mut TrackLane) -> LaneStatus {
-        match lane
-            .walker
-            .step_with(&self.getter, self.step_length, &self.stop, &mut lane.rng)
-        {
+    fn step(&self, walker: &mut Walker) -> LaneStatus {
+        match walker.step(&self.field, &self.params, self.mask) {
             StopReason::Running => LaneStatus::Continue,
             _ => LaneStatus::Finished,
         }
@@ -150,7 +126,7 @@ struct SampleStream<'a> {
     sample: usize,
     stream: usize,
     order: Vec<u32>,
-    lanes: Vec<TrackLane>,
+    lanes: Vec<Walker>,
     kernel: TrackingKernel<'a>,
     unfinished_after_segment: Vec<usize>,
 }
@@ -240,7 +216,7 @@ impl<'a> GpuTracker<'a> {
                 // The host-side layout of the volume just uploaded; it lives
                 // until the group's lanes have all retired.
                 let field = SampleField::build(self.samples, sample);
-                let lanes: Vec<TrackLane> = order
+                let lanes: Vec<Walker> = order
                     .iter()
                     .map(|&seed_idx| {
                         let pos = jittered_seed(
@@ -251,16 +227,7 @@ impl<'a> GpuTracker<'a> {
                             self.jitter,
                         );
                         let dir = initial_direction(&field, pos, self.params.min_fraction);
-                        TrackLane {
-                            walker: Walker::start(
-                                seed_idx,
-                                pos,
-                                dir,
-                                recording,
-                                self.samples.dims(),
-                            ),
-                            rng: lane_rng(self.run_seed, sample, seed_idx as usize),
-                        }
+                        Walker::start(seed_idx, pos, dir, recording, self.samples.dims())
                     })
                     .collect();
                 gpu.try_transfer_to_device_on(lanes.len() as u64 * LANE_BYTES, slot)
@@ -270,7 +237,11 @@ impl<'a> GpuTracker<'a> {
                     stream: slot,
                     order,
                     lanes,
-                    kernel: TrackingKernel::new(field, &self.params, self.mask),
+                    kernel: TrackingKernel {
+                        field,
+                        params: self.params,
+                        mask: self.mask,
+                    },
                     unfinished_after_segment: Vec::with_capacity(budgets.len()),
                 });
             }
@@ -313,11 +284,11 @@ impl<'a> GpuTracker<'a> {
                     }
                     gpu.host_reduction_on(st.lanes.len() as u64, st.stream);
                     let mut still_running = Vec::with_capacity(st.lanes.len());
-                    for lane in st.lanes.drain(..) {
-                        if lane.walker.alive() {
-                            still_running.push(lane);
+                    for walker in st.lanes.drain(..) {
+                        if walker.alive() {
+                            still_running.push(walker);
                         } else {
-                            self.retire(lane.walker, st.sample, &mut output, &mut kept);
+                            self.retire(walker, st.sample, &mut output, &mut kept);
                         }
                     }
                     st.lanes = still_running;
@@ -381,8 +352,8 @@ impl<'a> GpuTracker<'a> {
 }
 
 /// Trajectory points held by `lanes`' recording buffers.
-fn recorded_points(lanes: &[TrackLane]) -> u64 {
-    lanes.iter().map(|l| l.walker.path.len() as u64).sum()
+fn recorded_points(lanes: &[Walker]) -> u64 {
+    lanes.iter().map(|w| w.path.len() as u64).sum()
 }
 
 #[cfg(test)]

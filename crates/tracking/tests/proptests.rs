@@ -159,24 +159,28 @@ proptest! {
     fn walker_visit_list_matches_voxels_of_path(
         (nx, ny, nz) in (4usize..12, 4usize..12, 4usize..12),
         (sx, sy, sz) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
-        (edge_axis, edge_at) in (0usize..6, -0.8f64..0.0),
+        (edge_axis, edge_at) in (0usize..9, prop_oneof![Just(-0.5f64), -0.8f64..0.0]),
         (theta, phi, field_seed) in (
             0.0f64..std::f64::consts::PI,
             -std::f64::consts::PI..std::f64::consts::PI,
             0u64..500,
         ),
         step in 0.05f64..1.2,
-        (fused, trilinear, masked) in (0u8..2, 0u8..2, 0u8..2),
+        (mix, trilinear, masked) in (0u32..256, 0u8..2, 0u8..2),
     ) {
         // A field bent around one random heading, so walkers travel a
-        // while before a curvature stop. Half the starts lie anywhere in
-        // the grid; the others sit at -0.8..0 on one axis, heading inward,
-        // so a start below -0.5 rounds outside the grid and may step in.
+        // while before a curvature stop. A third of the starts lie
+        // anywhere in the grid; the others sit up to 0.8 outside one face
+        // of the grid (at -0.8..0 or n-1..n-0.2 on one axis, often exactly
+        // half a voxel out), heading inward: a start half a voxel out or
+        // more rounds outside the grid and may step in, and a nearer one
+        // looks up its clamped edge voxel.
         let dims = Dim3::new(nx, ny, nz);
-        let inward = [Vec3::X, Vec3::Y, Vec3::Z];
-        let heading = match inward.get(edge_axis) {
-            Some(&axis) => (axis * 2.0 + Vec3::from_spherical(theta, phi)).normalized(),
-            None => Vec3::from_spherical(theta, phi),
+        let axes = [Vec3::X, Vec3::Y, Vec3::Z];
+        let heading = match edge_axis {
+            0..=2 => (axes[edge_axis] * 2.0 + Vec3::from_spherical(theta, phi)).normalized(),
+            3..=5 => (axes[edge_axis - 3] * -2.0 + Vec3::from_spherical(theta, phi)).normalized(),
+            _ => Vec3::from_spherical(theta, phi),
         };
         let (theta, phi) = heading.to_spherical();
         let f = FnField::new(dims, move |c: Ijk| {
@@ -198,24 +202,44 @@ proptest! {
             min_fraction: 0.05,
             interp: if trilinear == 1 { InterpMode::Trilinear } else { InterpMode::Nearest },
         };
-        let mut start = [sx * (nx - 1) as f64, sy * (ny - 1) as f64, sz * (nz - 1) as f64];
-        if edge_axis < 3 {
-            start[edge_axis] = edge_at;
+        let top = [nx - 1, ny - 1, nz - 1].map(|t| t as f64);
+        let mut start = [sx * top[0], sy * top[1], sz * top[2]];
+        match edge_axis {
+            0..=2 => start[edge_axis] = edge_at,
+            3..=5 => start[edge_axis - 3] = top[edge_axis - 3] - edge_at,
+            _ => {}
         }
         let pos = Vec3::new(start[0], start[1], start[2]);
-        let mut w = Walker::new_recording(0, pos, heading, Recording::Points, dims);
-        if fused == 1 {
-            while w.alive() {
-                w.step(&f, &params, mask);
-            }
-        } else {
-            let getter = PosteriorSampleGetter::new(&f, params.interp, params.min_fraction);
-            let stack = StopStack::standard(&params, mask);
-            let mut rng = lane_rng(1, 0, 0);
-            while w.alive() {
-                w.step_with(&getter, params.step_length, &stack, &mut rng);
+        let getter = PosteriorSampleGetter::new(&f, params.interp, params.min_fraction);
+        let stack = StopStack::standard(&params, mask);
+        let mut rng = lane_rng(1, 0, 0);
+        // The fused step, the stack, and a walker that switches between
+        // them in the pattern `mix` spells (bit `steps % 8` set = stack
+        // step): a voxel the fused step keeps must never go stale.
+        let start_walker = || Walker::new_recording(0, pos, heading, Recording::Points, dims);
+        let mut fused = start_walker();
+        while fused.alive() {
+            fused.step(&f, &params, mask);
+        }
+        let mut stacked = start_walker();
+        while stacked.alive() {
+            stacked.step_with(&getter, params.step_length, &stack, &mut rng);
+        }
+        let mut mixed = start_walker();
+        while mixed.alive() {
+            if mix >> (mixed.steps % 8) & 1 == 1 {
+                mixed.step_with(&getter, params.step_length, &stack, &mut rng);
+            } else {
+                mixed.step(&f, &params, mask);
             }
         }
+        for other in [&stacked, &mixed] {
+            prop_assert_eq!(other.stop, fused.stop);
+            prop_assert_eq!(other.steps, fused.steps);
+            prop_assert_eq!(&other.path, &fused.path);
+            prop_assert_eq!(&other.visits, &fused.visits);
+        }
+        let w = fused;
         prop_assert_eq!(w.path.len() as u32, w.steps + 1);
         // In order: the points' voxels with consecutive repeats dropped.
         let mut in_order: Vec<u32> = Vec::new();

@@ -9,14 +9,16 @@
 #
 # The parent is exported with `git archive` into a scratch directory (no
 # worktree is registered in .git); the change is this checkout as it is,
-# uncommitted edits included. Each seed makes one pass: one
-# `python3 perfbench/run.py` run per tree, the order flipping from seed to
-# seed. Each tree builds into its own CARGO_TARGET_DIR under the scratch
-# directory. Prints every metric per run (`correct`/`failed` too), then per
-# metric each side's median and quartiles, the change/parent ratio of the
-# medians, and the change's pair wins: the seeds on which the change's run
-# beat the parent's in the metric's `better` direction (BENCHMARK.json),
-# out of the seeds where the two differ (ties are left out).
+# uncommitted edits included. Each seed argument makes one pass: one
+# `python3 perfbench/run.py` run per tree, the order flipping from pass to
+# pass. A seed may repeat; passes are told apart by their position. Each
+# tree builds into its own CARGO_TARGET_DIR under the scratch directory.
+# Prints every metric per run (`correct`/`failed` too), then per metric
+# each side's median and quartiles, the change/parent ratio of the
+# medians, and the change's pair wins: the passes in which the change's
+# run beat the parent's in the metric's `better` direction
+# (BENCHMARK.json), out of the passes where the two differ (ties are left
+# out).
 #
 # Environment:
 #   BENCH_AB_DIR      scratch directory; reusing one across calls reuses
@@ -65,26 +67,26 @@ fi
 results=$scratch/results-$workload-$$.tsv
 : >"$results"
 
-# run <side> <tree> <seed>: one perfbench run; keeps its standard output
-# and appends "side seed output-file".
+# run <side> <tree> <pass> <seed>: one perfbench run; keeps its standard
+# output and appends "side pass seed output-file".
 run() {
-    local side=$1 tree=$2 seed=$3 log
-    log=$scratch/run-$workload-$side-$seed-t$trace-$$.txt
+    local side=$1 tree=$2 pass=$3 seed=$4 log
+    log=$scratch/run-$workload-$side-p$pass-s$seed-t$trace-$$.txt
     echo "== $side seed $seed ($workload, ${seconds}s) ==" >&2
     (cd "$tree" && CARGO_TARGET_DIR="$scratch/target-$side" \
         python3 perfbench/run.py --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace "$trace") >"$log"
-    printf '%s\t%s\t%s\n' "$side" "$seed" "$log" >>"$results"
+    printf '%s\t%s\t%s\t%s\n' "$side" "$pass" "$seed" "$log" >>"$results"
 }
 
 for i in "${!seeds[@]}"; do
     seed=${seeds[$i]}
     if [ $((i % 2)) -eq 0 ]; then
-        run parent "$parent" "$seed"
-        run change "$change" "$seed"
+        run parent "$parent" "$i" "$seed"
+        run change "$change" "$i" "$seed"
     else
-        run change "$change" "$seed"
-        run parent "$parent" "$seed"
+        run change "$change" "$i" "$seed"
+        run parent "$parent" "$i" "$seed"
     fi
 done
 
@@ -108,26 +110,28 @@ with open(bench_json) as f:
 for m in decl.get("end_to_end", []) + decl.get("per_layer", []):
     better[m["name"]] = m.get("better", "lower")
 
+# Per side, (pass, seed, result) in run order; a pass is one seed
+# argument, so a repeated seed makes a pass of its own.
 runs = {"parent": [], "change": []}
 hosts = {"parent": [], "change": []}
 clock = {}
 for line in open(path):
-    side, seed, log = line.rstrip("\n").split("\t", 2)
+    side, pass_, seed, log = line.rstrip("\n").split("\t", 3)
     lines = open(log).read().splitlines()
     doc = json.loads(lines[-1])
-    runs[side].append((seed, doc))
+    runs[side].append((int(pass_), seed, doc))
     for text in lines[:-1]:
         if text.startswith("host "):
             hosts[side].append(json.loads(text[5:]))
         parts = text.split()
         if len(parts) == 4 and parts[0] in doc["metrics"]:
             clock[parts[0]] = parts[3]
-names = list(runs["parent"][0][1]["metrics"])
+names = list(runs["parent"][0][2]["metrics"])
 print(f"workload {workload}, parent {sha[:7]} vs working tree ({change_rev[:7]})")
 header = ["side", "seed", "correct", "failed"] + names
 print("\t".join(header))
 for side in ("parent", "change"):
-    for seed, doc in runs[side]:
+    for _, seed, doc in runs[side]:
         row = [side, seed, str(doc["correct"]).lower(), str(doc["failed"])]
         row += [f'{doc["metrics"][n]["value"]:.4f}' for n in names]
         print("\t".join(row))
@@ -170,14 +174,14 @@ print("metric\tparent_median\tparent_q1\tparent_q3\tchange_median\tchange_q1\tch
 rows = []
 for n in names:
     values = {
-        side: {seed: doc["metrics"][n]["value"] for seed, doc in runs[side]}
+        side: {pass_: doc["metrics"][n]["value"] for pass_, _, doc in runs[side]}
         for side in ("parent", "change")
     }
-    seeds = [seed for seed, _ in runs["parent"] if seed in values["change"]]
-    p = summary([values["parent"][s] for s, _ in runs["parent"]])
-    c = summary([values["change"][s] for s, _ in runs["change"]])
+    passes = [(pass_, seed) for pass_, seed, _ in runs["parent"] if pass_ in values["change"]]
+    p = summary([values["parent"][i] for i, _, _ in runs["parent"]])
+    c = summary([values["change"][i] for i, _, _ in runs["change"]])
     sign = -1.0 if better.get(n, "lower") == "lower" else 1.0
-    diffs = [sign * (values["change"][s] - values["parent"][s]) for s in seeds]
+    diffs = [sign * (values["change"][i] - values["parent"][i]) for i, _ in passes]
     wins = sum(d > 0 for d in diffs)
     decided = sum(d != 0 for d in diffs)
     ratio = f'{c["median"] / p["median"]:.3f}' if p["median"] else "-"
@@ -188,14 +192,15 @@ for n in names:
         "workload": workload,
         "trace": int(trace),
         "clock": clock.get(n, ""),
-        "unit": runs["parent"][0][1]["metrics"][n].get("unit", ""),
+        "unit": runs["parent"][0][2]["metrics"][n].get("unit", ""),
         "better": better.get(n, "lower"),
         "parent": p,
         "change": c,
-        "seeds": [int(s) for s in seeds],
-        "pair_wins": {"change": wins, "decided": decided, "ties": len(seeds) - decided},
+        "seeds": [int(seed) for _, seed in passes],
+        "pair_wins": {"change": wins, "decided": decided, "ties": len(passes) - decided},
         "correct": {
-            side: [bool(doc["correct"]) for _, doc in runs[side]] for side in ("parent", "change")
+            side: [bool(doc["correct"]) for _, _, doc in runs[side]]
+            for side in ("parent", "change")
         },
         "host": host,
         "rev": {"parent": sha, "change": change_rev},
