@@ -1,9 +1,12 @@
-//! Criterion micro-benchmarks of the hot kernels: RNG throughput,
-//! Box–Muller, the MH parameter step (posterior evaluation), trilinear
-//! interpolation, and the walker step. These are the per-iteration costs
-//! the device model abstracts.
+//! Micro-benchmarks of the hot kernels: RNG throughput, Box–Muller, the
+//! MH parameter step (posterior evaluation), trilinear interpolation, and
+//! the walker step. These are the per-iteration costs the device model
+//! abstracts. Each prints its median host time per iteration; a name
+//! filter selects benches (`cargo bench -p tracto-bench --bench micro --
+//! failover_overhead`).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 use tracto::diffusion::posterior::{BallSticksParams, NUM_PARAMETERS};
 use tracto::diffusion::{BallSticksPosterior, PriorConfig};
 use tracto::mcmc::mh::{AdaptScheme, MhSampler};
@@ -14,10 +17,8 @@ use tracto::tracking::field::FnField;
 use tracto::tracking::walker::Walker;
 use tracto::volume::interp::trilinear_scalar;
 
-fn bench_rng(c: &mut Criterion) {
-    let mut g = c.benchmark_group("rng");
-    g.throughput(Throughput::Elements(1024));
-    g.bench_function("hybrid_taus_1024_u32", |b| {
+fn bench_rng(m: &Micro) {
+    m.bench("rng/hybrid_taus_1024_u32", |b| {
         let mut rng = HybridTaus::new(42);
         b.iter(|| {
             let mut acc = 0u32;
@@ -27,7 +28,7 @@ fn bench_rng(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    g.bench_function("box_muller_512_pairs", |b| {
+    m.bench("rng/box_muller_512_pairs", |b| {
         let mut rng = HybridTaus::new(42);
         b.iter(|| {
             let mut acc = 0.0;
@@ -38,10 +39,9 @@ fn bench_rng(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    g.finish();
 }
 
-fn bench_posterior(c: &mut Criterion) {
+fn bench_posterior(m: &Micro) {
     let acq = gradients::default_protocol(1);
     let dirs = (Vec3::X, Vec3::Y);
     let model = tracto::diffusion::BallSticksModel::new(
@@ -55,11 +55,10 @@ fn bench_posterior(c: &mut Criterion) {
     let posterior = BallSticksPosterior::new(&acq, &signal, PriorConfig::default());
     let params = posterior.initial_params();
 
-    let mut g = c.benchmark_group("posterior");
-    g.bench_function("log_posterior_64_measurements", |b| {
+    m.bench("posterior/log_posterior_64_measurements", |b| {
         b.iter(|| black_box(posterior.log_posterior(black_box(&params))))
     });
-    g.bench_function("mh_full_loop_9_params", |b| {
+    m.bench("posterior/mh_full_loop_9_params", |b| {
         let target =
             |p: &[f64; NUM_PARAMETERS]| posterior.log_posterior(&BallSticksParams::from_array(*p));
         let mut sampler = MhSampler::new(
@@ -74,7 +73,7 @@ fn bench_posterior(c: &mut Criterion) {
             black_box(sampler.log_density())
         })
     });
-    g.bench_function("mh_full_loop_9_params_cached", |b| {
+    m.bench("posterior/mh_full_loop_9_params_cached", |b| {
         use tracto::mcmc::cached::{WavefrontBallSticks, WavefrontLane};
         struct Lane<'a>(&'a [f64], MhSampler<NUM_PARAMETERS>, HybridTaus);
         impl WavefrontLane for Lane<'_> {
@@ -102,10 +101,9 @@ fn bench_posterior(c: &mut Criterion) {
             black_box(lanes[0].1.log_density())
         })
     });
-    g.finish();
 }
 
-fn bench_tracking(c: &mut Criterion) {
+fn bench_tracking(m: &Micro) {
     let dims = Dim3::new(32, 32, 32);
     let scalar = tracto::volume::Volume3::from_fn(dims, |c| (c.i + c.j + c.k) as f32);
     let field = FnField::new(dims, |c: Ijk| {
@@ -120,8 +118,7 @@ fn bench_tracking(c: &mut Criterion) {
         interp: InterpMode::Nearest,
     };
 
-    let mut g = c.benchmark_group("tracking");
-    g.bench_function("trilinear_scalar", |b| {
+    m.bench("tracking/trilinear_scalar", |b| {
         b.iter(|| {
             black_box(trilinear_scalar(
                 &scalar,
@@ -129,7 +126,7 @@ fn bench_tracking(c: &mut Criterion) {
             ))
         })
     });
-    g.bench_function("walker_step_nearest", |b| {
+    m.bench("tracking/walker_step_nearest", |b| {
         let mut w = Walker::new(0, Vec3::new(1.0, 16.0, 16.0), Vec3::X);
         b.iter(|| {
             if !w.alive() || w.pos.x > 30.0 {
@@ -142,7 +139,7 @@ fn bench_tracking(c: &mut Criterion) {
         interp: InterpMode::Trilinear,
         ..params
     };
-    g.bench_function("walker_step_trilinear", |b| {
+    m.bench("tracking/walker_step_trilinear", |b| {
         let mut w = Walker::new(0, Vec3::new(1.0, 16.0, 16.0), Vec3::X);
         b.iter(|| {
             if !w.alive() || w.pos.x > 30.0 {
@@ -151,29 +148,26 @@ fn bench_tracking(c: &mut Criterion) {
             black_box(w.step(&field, &tri_params, None))
         })
     });
-    g.finish();
 }
 
-fn bench_tensor_fit(c: &mut Criterion) {
+fn bench_tensor_fit(m: &Micro) {
     let acq = gradients::default_protocol(2);
     let tensor =
         tracto::diffusion::SymTensor3::cylindrical(Vec3::new(1.0, 1.0, 0.5), 1.7e-3, 0.3e-3);
     use tracto::diffusion::DiffusionModel;
     let model = tracto::diffusion::TensorModel { s0: 900.0, tensor };
     let signal = model.predict_protocol(&acq);
-    c.bench_function("tensor_fit_64_measurements", |b| {
+    m.bench("tensor_fit_64_measurements", |b| {
         b.iter(|| black_box(tracto::diffusion::TensorFit::fit(&acq, black_box(&signal))))
     });
 }
 
-fn bench_end_to_end(c: &mut Criterion) {
+fn bench_end_to_end(m: &Micro) {
     use tracto::synthetic::samples_from_truth;
     use tracto::tracking::gpu::{GpuTracker, SeedOrdering};
     use tracto_gpu_sim::Gpu;
 
     let ds = tracto::phantom::datasets::single_bundle(Dim3::new(16, 10, 10), Some(25.0), 7);
-    let mut g = c.benchmark_group("end_to_end");
-    g.sample_size(10);
 
     // Step 1 on one voxel (the per-lane unit of the MCMC kernel).
     let mask_one = Mask::from_fn(ds.dwi.dims(), |c| c == Ijk::new(8, 5, 5));
@@ -186,14 +180,14 @@ fn bench_end_to_end(c: &mut Criterion) {
         3,
     );
     let idx = ds.dwi.dims().index(Ijk::new(8, 5, 5));
-    g.bench_function("mcmc_one_voxel_fast_chain", |b| {
+    m.bench("end_to_end/mcmc_one_voxel_fast_chain", |b| {
         b.iter(|| black_box(est.run_voxel(idx).samples.len()))
     });
 
     // Step 2 over the whole phantom with the paper's strategy.
     let samples = samples_from_truth(&ds.truth, 5, 0.15, 0.04, 9);
     let seeds = seeds_from_mask(&Mask::full(ds.dwi.dims()));
-    g.bench_function("gpu_tracking_1600_seeds_5_samples", |b| {
+    m.bench("end_to_end/gpu_tracking_1600_seeds_5_samples", |b| {
         b.iter(|| {
             let tracker = GpuTracker {
                 samples: &samples,
@@ -210,17 +204,14 @@ fn bench_end_to_end(c: &mut Criterion) {
             black_box(tracker.run(&mut gpu, 1).output.total_steps)
         })
     });
-    g.finish();
 }
 
-fn bench_trace(c: &mut Criterion) {
+fn bench_trace(m: &Micro) {
     use tracto_trace::{RingSink, Tracer};
 
-    let mut g = c.benchmark_group("trace");
-    g.throughput(Throughput::Elements(1));
     // The disabled tracer must cost a branch, nothing more: every
     // instrumented hot loop in gpu-sim and mcmc pays this on each event.
-    g.bench_function("emit_disabled", |b| {
+    m.bench("trace/emit_disabled", |b| {
         let tracer = Tracer::disabled();
         let mut n = 0u64;
         b.iter(|| {
@@ -229,7 +220,7 @@ fn bench_trace(c: &mut Criterion) {
             black_box(&tracer)
         })
     });
-    g.bench_function("emit_ring", |b| {
+    m.bench("trace/emit_ring", |b| {
         let tracer = Tracer::new(RingSink::new(4096));
         let mut n = 0u64;
         b.iter(|| {
@@ -238,17 +229,16 @@ fn bench_trace(c: &mut Criterion) {
             black_box(&tracer)
         })
     });
-    g.bench_function("span_ring", |b| {
+    m.bench("trace/span_ring", |b| {
         let tracer = Tracer::new(RingSink::new(4096));
         b.iter(|| {
             let span = tracer.span("bench.span");
             drop(black_box(span));
         })
     });
-    g.finish();
 }
 
-fn bench_failover_overhead(c: &mut Criterion) {
+fn bench_failover_overhead(m: &Micro) {
     use tracto_gpu_sim::{FaultPlan, Gpu, LaneStatus, MultiGpu, SimKernel};
 
     // A deterministic spin kernel: each lane mixes a counter into an
@@ -285,19 +275,21 @@ fn bench_failover_overhead(c: &mut Criterion) {
             .collect()
     };
 
-    let mut g = c.benchmark_group("failover_overhead");
     for devices in [2usize, 4, 8] {
         // Fault-free baseline at this pool width.
-        g.bench_function(&format!("{devices}_devices_fault_free"), |b| {
-            b.iter(|| {
-                let mut multi = MultiGpu::new(DeviceConfig::radeon_5870(), devices);
-                let mut pop = lanes(512);
-                multi
-                    .launch_partitioned(&SpinKernel, &mut pop, 64)
-                    .expect("fault-free launch");
-                black_box(pop.iter().map(|l| l.acc).fold(0u64, u64::wrapping_add))
-            })
-        });
+        m.bench(
+            &format!("failover_overhead/{devices}_devices_fault_free"),
+            |b| {
+                b.iter(|| {
+                    let mut multi = MultiGpu::new(DeviceConfig::radeon_5870(), devices);
+                    let mut pop = lanes(512);
+                    multi
+                        .launch_partitioned(&SpinKernel, &mut pop, 64)
+                        .expect("fault-free launch");
+                    black_box(pop.iter().map(|l| l.acc).fold(0u64, u64::wrapping_add))
+                })
+            },
+        );
         // Same run with one device lost mid-launch: the re-partition and
         // replay are the measured overhead, and the results must not move.
         let reference: u64 = {
@@ -308,25 +300,28 @@ fn bench_failover_overhead(c: &mut Criterion) {
                 .expect("reference launch");
             pop.iter().map(|l| l.acc).fold(0u64, u64::wrapping_add)
         };
-        g.bench_function(&format!("{devices}_devices_one_loss"), |b| {
-            let plan = FaultPlan::parse("fault 1 0 device-lost").unwrap();
-            b.iter(|| {
-                let mut multi = MultiGpu::new(DeviceConfig::radeon_5870(), devices);
-                multi.set_fault_plan(&plan);
-                let mut pop = lanes(512);
-                multi
-                    .launch_partitioned(&SpinKernel, &mut pop, 64)
-                    .expect("survivors absorb one loss");
-                assert_eq!(multi.failovers(), 1);
-                let sum = pop.iter().map(|l| l.acc).fold(0u64, u64::wrapping_add);
-                assert_eq!(sum, reference, "failover must not change results");
-                black_box(sum)
-            })
-        });
+        m.bench(
+            &format!("failover_overhead/{devices}_devices_one_loss"),
+            |b| {
+                let plan = FaultPlan::parse("fault 1 0 device-lost").unwrap();
+                b.iter(|| {
+                    let mut multi = MultiGpu::new(DeviceConfig::radeon_5870(), devices);
+                    multi.set_fault_plan(&plan);
+                    let mut pop = lanes(512);
+                    multi
+                        .launch_partitioned(&SpinKernel, &mut pop, 64)
+                        .expect("survivors absorb one loss");
+                    assert_eq!(multi.failovers(), 1);
+                    let sum = pop.iter().map(|l| l.acc).fold(0u64, u64::wrapping_add);
+                    assert_eq!(sum, reference, "failover must not change results");
+                    black_box(sum)
+                })
+            },
+        );
     }
     // Single-device fault path for scale: a transient launch failure
     // retried in place (no re-partition).
-    g.bench_function("1_device_transient_retry", |b| {
+    m.bench("failover_overhead/1_device_transient_retry", |b| {
         let plan = FaultPlan::parse("fault 0 0 launch-fail").unwrap();
         b.iter(|| {
             let mut gpu = Gpu::new(DeviceConfig::radeon_5870());
@@ -341,19 +336,58 @@ fn bench_failover_overhead(c: &mut Criterion) {
             black_box(pop.len())
         })
     });
-    g.finish();
 }
 
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(30)
-        .measurement_time(std::time::Duration::from_secs(2))
-        .warm_up_time(std::time::Duration::from_millis(500))
+/// Runs each bench whose `group/name` contains the filter, if any.
+struct Micro {
+    filter: Option<String>,
 }
 
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_rng, bench_posterior, bench_tracking, bench_tensor_fit, bench_end_to_end, bench_trace, bench_failover_overhead
+impl Micro {
+    fn bench(&self, name: &str, f: impl FnOnce(&Bencher)) {
+        if self.filter.as_deref().is_none_or(|x| name.contains(x)) {
+            f(&Bencher { name })
+        }
+    }
 }
-criterion_main!(benches);
+
+struct Bencher<'a> {
+    name: &'a str,
+}
+
+impl Bencher<'_> {
+    /// Print the median host time per call of `routine` over 15 samples,
+    /// each a batch of calls that takes at least 20 ms.
+    fn iter<R>(&self, mut routine: impl FnMut() -> R) {
+        let mut batch = |calls: u64| {
+            let t = Instant::now();
+            for _ in 0..calls {
+                black_box(routine());
+            }
+            t.elapsed()
+        };
+        let mut calls = 1;
+        while batch(calls) < Duration::from_millis(20) {
+            calls *= 2;
+        }
+        let mut ns: Vec<f64> = (0..15)
+            .map(|_| batch(calls).as_nanos() as f64 / calls as f64)
+            .collect();
+        ns.sort_by(f64::total_cmp);
+        println!("{:<48} {:>14.1} ns/iter", self.name, ns[7]);
+    }
+}
+
+fn main() {
+    // `cargo bench` passes `--bench`; a bare argument is a name filter.
+    let m = Micro {
+        filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
+    };
+    bench_rng(&m);
+    bench_posterior(&m);
+    bench_tracking(&m);
+    bench_tensor_fit(&m);
+    bench_end_to_end(&m);
+    bench_trace(&m);
+    bench_failover_overhead(&m);
+}

@@ -252,8 +252,8 @@ fn check_analytic_vs_mcmc(doc: &Json, failures: &mut Vec<String>) {
 
 /// Gate 4: Step 1 through the simulated kernel versus the hand-driven
 /// wavefront sweep over the same chains, per voxel-loop. One wavefront (64
-/// lanes on the default device) is one chunk, so the rayon shim runs the
-/// kernel on one thread, as the hand loop runs.
+/// lanes on the default device) is one `par_map` item, so the launch runs
+/// the kernel inline on the calling thread, as the hand loop runs.
 fn check_mcmc_kernel(doc: &Json, failures: &mut Vec<String>) {
     let (acq, signal) = gate_signal();
     let dims = Dim3::new(4, 4, 4);

@@ -17,10 +17,9 @@
 use std::cell::RefCell;
 use std::ops::Range;
 
-use rayon::prelude::*;
 use tracto_diffusion::posterior::{BallSticksParams, NUM_PARAMETERS};
 use tracto_diffusion::{Acquisition, BallSticksPosterior, PriorConfig};
-use tracto_gpu_sim::{Gpu, LaneStatus, MultiGpu, SimKernel, TimingLedger};
+use tracto_gpu_sim::{par_map, Gpu, LaneStatus, MultiGpu, SimKernel, TimingLedger};
 use tracto_mcmc::cached::{WavefrontBallSticks, WavefrontLane};
 use tracto_mcmc::chain::ChainConfig;
 use tracto_mcmc::checkpoint::{
@@ -149,7 +148,7 @@ impl SimKernel for McmcKernel<'_> {
 }
 
 thread_local! {
-    /// Reusable wavefront cache: one per rayon worker, bound to each
+    /// Reusable wavefront cache: one per launch worker thread, bound to each
     /// wavefront in turn for that wavefront's whole run through a launch,
     /// so the hot loop allocates nothing in steady state.
     static WAVEFRONT_CACHE: RefCell<WavefrontBallSticks> =
@@ -181,40 +180,36 @@ fn build_mcmc_lanes(
     config: ChainConfig,
     seed: u64,
 ) -> Vec<McmcLane> {
-    mask.indices()
-        .par_iter()
-        .map(|&voxel_index| {
-            let signal: Vec<f64> = dwi
-                .voxel_at(voxel_index)
-                .iter()
-                .map(|&v| v as f64)
-                .collect();
-            let posterior = BallSticksPosterior::new(acq, &signal, prior);
-            let mut init = posterior.initial_params();
-            if prior.max_sticks == 1 {
-                init.f2 = 0.0;
-            }
-            let scales = default_proposal_scales(init.s0);
-            let target = |p: &[f64; NUM_PARAMETERS]| {
-                posterior.log_posterior(&BallSticksParams::from_array(*p))
-            };
-            let mut sampler = MhSampler::new(&target, init.to_array(), scales, config.adapt);
-            if prior.max_sticks == 1 {
-                use tracto_diffusion::posterior::param_index;
-                sampler.freeze(param_index::F2);
-                sampler.freeze(param_index::TH2);
-                sampler.freeze(param_index::PH2);
-            }
-            McmcLane {
-                voxel_index,
-                signal,
-                sampler,
-                rng: HybridTaus::seed_stream(seed, voxel_index as u64),
-                loops_done: 0,
-                samples: Vec::with_capacity(config.num_samples as usize),
-            }
-        })
-        .collect()
+    par_map(mask.indices(), |voxel_index| {
+        let signal: Vec<f64> = dwi
+            .voxel_at(voxel_index)
+            .iter()
+            .map(|&v| v as f64)
+            .collect();
+        let posterior = BallSticksPosterior::new(acq, &signal, prior);
+        let mut init = posterior.initial_params();
+        if prior.max_sticks == 1 {
+            init.f2 = 0.0;
+        }
+        let scales = default_proposal_scales(init.s0);
+        let target =
+            |p: &[f64; NUM_PARAMETERS]| posterior.log_posterior(&BallSticksParams::from_array(*p));
+        let mut sampler = MhSampler::new(&target, init.to_array(), scales, config.adapt);
+        if prior.max_sticks == 1 {
+            use tracto_diffusion::posterior::param_index;
+            sampler.freeze(param_index::F2);
+            sampler.freeze(param_index::TH2);
+            sampler.freeze(param_index::PH2);
+        }
+        McmcLane {
+            voxel_index,
+            signal,
+            sampler,
+            rng: HybridTaus::seed_stream(seed, voxel_index as u64),
+            loops_done: 0,
+            samples: Vec::with_capacity(config.num_samples as usize),
+        }
+    })
 }
 
 /// Assemble downloaded lanes into the six sample volumes.

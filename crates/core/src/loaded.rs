@@ -356,6 +356,30 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_volume_headers_are_typed_format_errors() {
+        let dims = Dim3::new(1, 1, 1);
+        let mask = Mask::from_fn(dims, |_| true);
+        let mut mask_bytes = Vec::new();
+        write_volume3(&mut mask_bytes, &mask.as_volume().map(|_| 1.0f32)).unwrap();
+        for extents in [[1 << 62 | 1, 1, 1], [1 << 22; 3]] {
+            // A 48-byte dwi section (36-byte header, 3 samples) whose
+            // header announces `extents` voxels.
+            let mut dwi_bytes = Vec::new();
+            write_volume4(&mut dwi_bytes, &Volume4::<f32>::zeros(dims, 3)).unwrap();
+            for (at, n) in [8, 16, 24].into_iter().zip(extents) {
+                dwi_bytes[at..at + 8].copy_from_slice(&u64::to_le_bytes(n));
+            }
+            let mut blob = TRDS_MAGIC.to_vec();
+            push_section(&mut blob, &dwi_bytes);
+            push_section(&mut blob, &mask_bytes);
+            push_section(&mut blob, b"0 0 0 0\n0 0 0 0\n0 0 0 0\n");
+            let err = decode_trds(&blob).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Format, "{extents:?}");
+            assert!(err.to_string().contains("overflow"), "{err}");
+        }
+    }
+
+    #[test]
     fn non_finite_dwi_samples_are_typed_format_errors() {
         let ds = datasets::single_bundle(Dim3::new(5, 4, 4), None, 2);
         let (voxel, t) = (ds.dwi.dims().index(Ijk::new(3, 1, 2)), 4);

@@ -5,7 +5,6 @@ use crate::fault::{DeviceHealth, FaultCategory, FaultKind, FaultPlan, FaultState
 use crate::ledger::TimingLedger;
 use crate::schedule::{EventKind, ScheduleEvent, ScheduleTrace};
 use crate::stream::{ChargeSpan, StreamClock};
-use rayon::prelude::*;
 use std::time::Instant;
 use tracto_trace::{Tracer, TractoError, TractoResult};
 
@@ -247,7 +246,7 @@ impl Gpu {
     /// how the paper's kernel maps seed points to SIMD threads — and each
     /// wavefront is charged the maximum iteration count among its lanes
     /// (lockstep execution). The real per-lane computation runs in parallel
-    /// with one rayon task per wavefront. On a [`DeviceHealth::Degraded`]
+    /// with one [`par_map`](crate::par_map) item per wavefront. On a [`DeviceHealth::Degraded`]
     /// device the charged kernel time is multiplied by the plan's
     /// `degrade_factor`.
     pub fn try_launch<K: SimKernel>(
@@ -325,14 +324,11 @@ impl Gpu {
         // Run every wavefront in parallel, in the order the kernel picks
         // (lane-major unless it overrides `run_wavefront`); the lockstep
         // charge is the wavefront's largest executed count either way.
-        let per_wavefront: Vec<(Vec<u32>, Vec<bool>, u32)> = lanes
-            .par_chunks_mut(wf)
-            .map(|chunk| {
-                let (executed, finished) = kernel.run_wavefront(chunk, max_iters);
-                let lockstep = executed.iter().copied().max().unwrap_or(0);
-                (executed, finished, lockstep)
-            })
-            .collect();
+        let per_wavefront = crate::par_map(lanes.chunks_mut(wf), |chunk| {
+            let (executed, finished) = kernel.run_wavefront(chunk, max_iters);
+            let lockstep = executed.iter().copied().max().unwrap_or(0);
+            (executed, finished, lockstep)
+        });
 
         let wall = wall_start.elapsed().as_secs_f64();
 

@@ -369,11 +369,6 @@ impl MultiGpu {
         self.clock.makespan_s()
     }
 
-    /// Per-device ledgers.
-    pub fn device_ledgers(&self) -> Vec<TimingLedger> {
-        self.devices.iter().map(|d| *d.ledger()).collect()
-    }
-
     /// What this pool's charges would have cost on the serialized
     /// single-stream path (concurrent device rounds still overlap).
     pub fn serial_s(&self) -> f64 {

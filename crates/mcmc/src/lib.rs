@@ -30,7 +30,8 @@ pub mod cached;
 pub mod chain;
 pub mod checkpoint;
 pub mod diagnostics;
-pub mod gibbs;
+#[cfg(test)]
+mod gibbs;
 pub mod mh;
 pub mod pointest;
 pub mod voxelwise;

@@ -12,9 +12,9 @@
 //! motivates the full multi-fiber MCMC this repository centers on.
 
 use crate::voxelwise::SampleVolumes;
-use rayon::prelude::*;
 use tracto_diffusion::posterior::BallSticksParams;
 use tracto_diffusion::{Acquisition, BallSticksPosterior, PriorConfig};
+use tracto_gpu_sim::par_map;
 use tracto_rng::{BoxMuller, HybridTaus};
 use tracto_volume::{Mask, Volume4};
 
@@ -185,12 +185,7 @@ impl<'a> PointEstimator<'a> {
     /// Run over the mask in parallel, producing pseudo-sample volumes.
     pub fn run_parallel(&self) -> SampleVolumes {
         let dims = self.dwi.dims();
-        let results: Vec<(usize, PointEstimate)> = self
-            .mask
-            .indices()
-            .into_par_iter()
-            .map(|idx| (idx, self.estimate_voxel(idx)))
-            .collect();
+        let results = par_map(self.mask.indices(), |idx| (idx, self.estimate_voxel(idx)));
         let mut out = SampleVolumes::zeros(dims, self.num_samples);
         for (idx, est) in results {
             let c = dims.coords(idx);

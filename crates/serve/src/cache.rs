@@ -9,9 +9,10 @@
 //! directory-backed variant persists entries in the CLI's TRV4 sample
 //! format so `tracto track --cache-dir` shares them across processes.
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::SystemTime;
 use tracto::diffusion::{Acquisition, NoiseLikelihood, PriorConfig};
 use tracto::mcmc::{AdaptScheme, ChainConfig, SampleVolumes};
@@ -308,12 +309,12 @@ impl SampleCache {
     /// Whether a key is resident, without touching recency, frequency, or
     /// the hit/miss counters — admission probes must not skew eviction.
     pub fn contains(&self, key: SampleKey) -> bool {
-        self.inner.lock().entries.iter().any(|e| e.key == key)
+        lock(&self.inner).entries.iter().any(|e| e.key == key)
     }
 
     /// Look up a key, refreshing its recency and frequency.
     pub fn get(&self, key: SampleKey) -> Option<Arc<SampleVolumes>> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if let Some(pos) = inner.entries.iter().position(|e| e.key == key) {
             let mut entry = inner.entries.remove(pos);
             entry.hits += 1;
@@ -349,7 +350,7 @@ impl SampleCache {
     /// keep expensive-to-rebuild stacks preferentially.
     pub fn insert_with_cost(&self, key: SampleKey, samples: Arc<SampleVolumes>, cost_ms: f64) {
         let bytes = sample_bytes(&samples);
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let mut hits = 0;
         if let Some(pos) = inner.entries.iter().position(|e| e.key == key) {
             let entry = inner.entries.remove(pos);
@@ -390,7 +391,7 @@ impl SampleCache {
 
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -520,7 +521,7 @@ impl DiskSampleCache {
     /// immediately if the existing contents already exceed the bound.
     pub fn with_limit(mut self, max_bytes: u64) -> Self {
         self.max_bytes = Some(max_bytes);
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         self.enforce_cap(&mut state);
         drop(state);
         self
@@ -540,7 +541,7 @@ impl DiskSampleCache {
 
     /// Entries currently tracked.
     pub fn len(&self) -> usize {
-        self.state.lock().entries.len()
+        lock(&self.state).entries.len()
     }
 
     /// True when the cache tracks no entries.
@@ -550,7 +551,7 @@ impl DiskSampleCache {
 
     /// Bytes currently held on disk (tracked entries only).
     pub fn bytes(&self) -> u64 {
-        self.state.lock().bytes
+        lock(&self.state).bytes
     }
 
     fn entry_dir(&self, key: SampleKey) -> PathBuf {
@@ -560,7 +561,7 @@ impl DiskSampleCache {
     /// Whether a key is present on disk, without opening or verifying the
     /// entry (admission probes only need residency, not bytes).
     pub fn contains(&self, key: SampleKey) -> bool {
-        self.state.lock().entries.iter().any(|e| e.key == key)
+        lock(&self.state).entries.iter().any(|e| e.key == key)
     }
 
     fn forget(state: &mut DiskState, key: SampleKey) -> u64 {
@@ -618,7 +619,7 @@ impl DiskSampleCache {
         }
         match self.read_entry(&dir) {
             Ok(samples) => {
-                let mut state = self.state.lock();
+                let mut state = lock(&self.state);
                 if let Some(pos) = state.entries.iter().position(|e| e.key == key) {
                     let mut entry = state.entries.remove(pos);
                     entry.hits += 1;
@@ -646,7 +647,7 @@ impl DiskSampleCache {
                 // poison the cache twice, then reported as a clean miss —
                 // the caller recomputes and `put` repopulates the slot.
                 std::fs::remove_dir_all(&dir).ok();
-                let mut state = self.state.lock();
+                let mut state = lock(&self.state);
                 Self::forget(&mut state, key);
                 drop(state);
                 if self.tracer.enabled() {
@@ -731,7 +732,7 @@ impl DiskSampleCache {
                 written += text.len() as u64;
             }
         }
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let hits = Self::forget(&mut state, key);
         // Mirror the memory tier: the fresh entry is never its own victim
         // (an LFU/cost-aware scan would otherwise always pick the zero-hit

@@ -19,9 +19,10 @@
 //! journal remains the record of truth.
 
 use crate::job::{JobError, JobOutput};
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::thread::Thread;
 use tracto_proto::{Event, JobState, Outcome};
 
@@ -52,19 +53,19 @@ impl EventBus {
     /// Stop buffering, discard anything queued, and forget the waker.
     pub(crate) fn detach(&self) {
         self.attached.store(false, Ordering::SeqCst);
-        self.queue.lock().clear();
-        *self.waker.lock() = None;
+        lock(&self.queue).clear();
+        *lock(&self.waker) = None;
     }
 
     /// Register the thread that drains the bus (the reactor's IO thread).
     pub(crate) fn set_waker(&self, thread: Thread) {
-        *self.waker.lock() = Some(thread);
+        *lock(&self.waker) = Some(thread);
     }
 
     /// Unpark the draining thread, if one is registered: new work for it
     /// that is not a socket byte (an event, a worker's answer, a stop).
     pub(crate) fn wake(&self) {
-        if let Some(thread) = &*self.waker.lock() {
+        if let Some(thread) = &*lock(&self.waker) {
             thread.unpark();
         }
     }
@@ -94,7 +95,7 @@ impl EventBus {
             kind: kind.to_string(),
             state,
         };
-        let mut q = self.queue.lock();
+        let mut q = lock(&self.queue);
         if q.len() >= BUS_CAP {
             q.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -106,7 +107,7 @@ impl EventBus {
 
     /// Move every queued event into `into` (oldest first).
     pub(crate) fn drain(&self, into: &mut Vec<Event>) {
-        let mut q = self.queue.lock();
+        let mut q = lock(&self.queue);
         into.extend(q.drain(..));
     }
 

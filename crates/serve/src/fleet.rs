@@ -32,14 +32,14 @@
 //!   answered.
 
 use crate::listener::{bind_endpoint, ConnStream, Listener};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
-use parking_lot::{Condvar, Mutex};
+use crate::lock;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{ErrorKind as IoKind, Read, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tracto_proto::{
     check_version, placement_key, write_frame, Endpoint, FleetWire, FrameBuf, JobState, MemberWire,
@@ -130,7 +130,7 @@ impl ReplicaStore {
                 "replicated journal record contains a newline",
             ));
         }
-        let mut sources = self.sources.lock();
+        let mut sources = lock(&self.sources);
         let path = self.path_of(source);
         if reset {
             let file = File::create(&path).map_err(TractoError::from)?;
@@ -173,7 +173,7 @@ impl ReplicaStore {
                 "invalid replication source name `{source}`"
             )));
         }
-        let mut sources = self.sources.lock();
+        let mut sources = lock(&self.sources);
         sources.remove(source);
         let path = self.path_of(source);
         let text = match fs::read_to_string(&path) {
@@ -188,7 +188,7 @@ impl ReplicaStore {
     /// The next sequence number expected from `source` (for tests and
     /// `fleet_status` style introspection).
     pub fn next_seq(&self, source: &str) -> Option<u64> {
-        self.sources.lock().get(source).map(|s| s.next)
+        lock(&self.sources).get(source).map(|s| s.next)
     }
 }
 
@@ -484,7 +484,7 @@ impl FleetShared {
     }
 
     fn request_shutdown(&self) {
-        *self.shutdown_requested.lock() = true;
+        *lock(&self.shutdown_requested) = true;
         self.shutdown_cv.notify_all();
     }
 }
@@ -598,10 +598,8 @@ impl Fleet {
 
     /// Block until some client sends a `shutdown` request.
     pub fn wait_shutdown(&self) {
-        let mut requested = self.shared.shutdown_requested.lock();
-        while !*requested {
-            self.shared.shutdown_cv.wait(&mut requested);
-        }
+        let requested = lock(&self.shared.shutdown_requested);
+        let _requested = self.shared.shutdown_cv.wait_while(requested, |r| !*r);
     }
 
     /// Stop accepting, close connections, and join every thread.
@@ -618,7 +616,7 @@ impl Fleet {
         if let Some(h) = self.monitor.take() {
             let _ = h.join();
         }
-        for h in self.handlers.lock().drain(..) {
+        for h in lock(&self.handlers).drain(..) {
             let _ = h.join();
         }
         if let Some(path) = self.cleanup.take() {
@@ -646,7 +644,7 @@ fn accept_loop(
                     .name("tracto-fleet-conn".into())
                     .spawn(move || handle_conn(&shared, stream))
                 {
-                    handlers.lock().push(h);
+                    lock(handlers).push(h);
                 }
             }
             Err(e) if e.kind() == IoKind::WouldBlock => {
@@ -849,7 +847,7 @@ fn member_call<T>(
     f: impl FnOnce(&mut RemoteService) -> TractoResult<T>,
 ) -> TractoResult<T> {
     let slot = &shared.members[idx];
-    let mut guard = slot.conn.lock();
+    let mut guard = lock(&slot.conn);
     if guard.is_none() {
         *guard = Some(RemoteService::connect_with_retry(
             &slot.endpoint,
@@ -869,9 +867,7 @@ fn member_call<T>(
 }
 
 fn lookup(shared: &FleetShared, job: u64) -> Result<Placement, Response> {
-    shared
-        .registry
-        .lock()
+    lock(&shared.registry)
         .get(&job)
         .cloned()
         .ok_or(Response::Error {
@@ -891,7 +887,7 @@ fn fleet_submit(shared: &FleetShared, spec: tracto_proto::JobSpec) -> Response {
         match member_call(shared, idx, |c| c.submit(spec.clone())) {
             Ok(remote) => {
                 let job = shared.next_id.fetch_add(1, Ordering::Relaxed);
-                shared.registry.lock().insert(
+                lock(&shared.registry).insert(
                     job,
                     Placement {
                         member: idx,
@@ -1156,7 +1152,7 @@ fn monitor_loop(shared: &Arc<FleetShared>, heartbeat: Duration, max_misses: u32)
 fn declare_dead(shared: &Arc<FleetShared>, idx: usize) {
     let slot = &shared.members[idx];
     slot.alive.store(false, Ordering::SeqCst);
-    *slot.conn.lock() = None;
+    *lock(&slot.conn) = None;
     shared.takeovers.fetch_add(1, Ordering::Relaxed);
     if shared.tracer.enabled() {
         shared.tracer.emit(
@@ -1182,9 +1178,7 @@ fn declare_dead(shared: &Arc<FleetShared>, idx: usize) {
     let adopted: HashMap<u64, u64> = member_call(shared, standby, |c| c.takeover(&slot.name))
         .map(|pairs| pairs.into_iter().collect())
         .unwrap_or_default();
-    let stranded: Vec<(u64, Placement)> = shared
-        .registry
-        .lock()
+    let stranded: Vec<(u64, Placement)> = lock(&shared.registry)
         .iter()
         .filter(|(_, p)| p.member == idx)
         .map(|(&id, p)| (id, p.clone()))
@@ -1206,7 +1200,7 @@ fn declare_dead(shared: &Arc<FleetShared>, idx: usize) {
             },
         };
         if let Some(remote) = new_remote {
-            shared.registry.lock().insert(
+            lock(&shared.registry).insert(
                 fleet_id,
                 Placement {
                     member: standby,

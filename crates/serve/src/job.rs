@@ -1,8 +1,9 @@
 //! Job descriptions, results, and the completion tickets clients wait on.
 
-use parking_lot::{Condvar, Mutex};
+use crate::lock;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tracto::mcmc::SampleVolumes;
 use tracto::tracking::TrackingOutput;
@@ -200,7 +201,7 @@ impl<T: Clone> Ticket<T> {
     /// told "cancelled" never observes a completed job. Returns what was
     /// actually stored, or `None` if the ticket was already fulfilled.
     pub(crate) fn fulfill(&self, result: Result<T, JobError>) -> Option<Result<T, JobError>> {
-        let mut slot = self.state.result.lock();
+        let mut slot = lock(&self.state.result);
         if slot.is_some() {
             return None;
         }
@@ -221,7 +222,7 @@ impl<T: Clone> Ticket<T> {
     /// so there is no window where both "cancelled" and a completed result
     /// are observable). Returns `false` if the job had already finished.
     pub fn cancel(&self) -> bool {
-        let slot = self.state.result.lock();
+        let slot = lock(&self.state.result);
         self.state.cancelled.store(true, Ordering::SeqCst);
         slot.is_none()
     }
@@ -244,29 +245,24 @@ impl<T: Clone> Ticket<T> {
 
     /// Non-blocking poll.
     pub fn try_result(&self) -> Option<Result<T, JobError>> {
-        self.state.result.lock().clone()
+        lock(&self.state.result).clone()
     }
 
     /// Block until the job completes (or fails).
     pub fn wait(&self) -> Result<T, JobError> {
-        let mut slot = self.state.result.lock();
-        while slot.is_none() {
-            self.state.done.wait(&mut slot);
-        }
+        let slot = lock(&self.state.result);
+        let slot = (self.state.done)
+            .wait_while(slot, |s| s.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
         slot.clone().expect("slot filled")
     }
 
     /// Block up to `timeout`; `None` when still pending.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<T, JobError>> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.state.result.lock();
-        while slot.is_none() {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.state.done.wait_for(&mut slot, deadline - now);
-        }
+        let slot = lock(&self.state.result);
+        let (slot, _) = (self.state.done)
+            .wait_timeout_while(slot, timeout, |s| s.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
         slot.clone()
     }
 }

@@ -21,12 +21,13 @@
 //! error, a dead owner's lock is stolen (with a `journal.lock_stolen`
 //! trace event) so an unclean crash never wedges recovery.
 
-use crossbeam::channel::Sender;
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{ErrorKind as IoErrorKind, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::Sender;
+use std::sync::Mutex;
 use tracto_trace::json::{parse, Json};
 use tracto_trace::{Tracer, TractoError, TractoResult, Value};
 
@@ -168,14 +169,14 @@ impl JobJournal {
     /// is possible (the service does this during startup) so the mirror
     /// stream plus the on-disk snapshot covers every record ever written.
     pub fn set_mirror(&self, tx: Sender<String>) {
-        self.inner.lock().mirror = Some(tx);
+        lock(&self.inner).mirror = Some(tx);
     }
 
     /// The current journal text under the append lock — the snapshot a
     /// replicator pairs with the mirror stream (records appended after
     /// this read arrive on the mirror, so snapshot + stream is gap-free).
     pub fn snapshot_text(&self) -> String {
-        let _guard = self.inner.lock();
+        let _guard = lock(&self.inner);
         fs::read_to_string(&self.path).unwrap_or_default()
     }
 
@@ -183,7 +184,7 @@ impl JobJournal {
     /// observable. The spec is embedded in wire JSON form so recovery can
     /// re-run it bit-identically.
     pub fn submitted(&self, id: u64, spec: &tracto_proto::JobSpec) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if !inner.open_jobs.insert(id) {
             return; // already journaled (a recovered job being re-enqueued)
         }
@@ -197,7 +198,7 @@ impl JobJournal {
     /// Record the persistent-checkpoint key a journaled job's estimation
     /// writes under, so recovery can rebind the re-run to its snapshot.
     pub fn checkpointed(&self, id: u64, key: &str) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if !inner.open_jobs.contains(&id) {
             return;
         }
@@ -231,7 +232,7 @@ impl JobJournal {
     /// fsync, in slice order. Ids that were never journaled (in-process
     /// submissions) or are already settled write nothing.
     pub fn settle(&self, jobs: &[(u64, Terminal)]) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let lines: Vec<String> = jobs
             .iter()
             .filter(|(id, _)| inner.open_jobs.remove(id))
@@ -562,7 +563,7 @@ mod tests {
         let ids = [3u64, 1, 4, 5, 9];
         {
             let (j, _) = JobJournal::open(&dir, Tracer::disabled()).unwrap();
-            let (tx, rx) = crossbeam::channel::unbounded();
+            let (tx, rx) = std::sync::mpsc::channel();
             j.set_mirror(tx);
             for &id in &ids {
                 j.submitted(id, &spec(id));

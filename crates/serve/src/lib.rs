@@ -69,3 +69,43 @@ pub use metrics::MetricsSnapshot;
 pub use service::TractoService;
 pub use spec::{materialize_dataset, DatasetSource, JobSpec, Work};
 pub use uploads::UploadStore;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, recovering the guard when a panicking holder poisoned it: one
+/// panicked job must not wedge the service's shared state.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lock;
+    use std::sync::Mutex;
+
+    #[test]
+    fn mutex_guards_exclusive_access() {
+        let m = Mutex::new(0u64);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| (0..1000).for_each(|_| *lock(&m) += 1));
+            }
+        });
+        assert_eq!(*lock(&m), 4000);
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_hands_out_its_guard() {
+        let m = Mutex::new(1);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = lock(&m);
+                panic!("the holder panics");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 2);
+    }
+}

@@ -20,11 +20,11 @@
 
 use crate::events::EventBus;
 use crate::job::{JobOutput, Ticket};
+use crate::lock;
 use crate::metrics::MetricsSnapshot;
 use crate::reactor;
 use crate::service::TractoService;
 use crate::uploads::UploadStore;
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io::{ErrorKind as IoKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -32,6 +32,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::{Condvar, Mutex};
 use tracto_proto::{Endpoint, MetricsWire};
 use tracto_trace::{TractoError, TractoResult};
 
@@ -185,7 +186,7 @@ pub(crate) struct ServerState {
 
 impl ServerState {
     pub(crate) fn request_shutdown(&self) {
-        let mut requested = self.shutdown_requested.lock();
+        let mut requested = lock(&self.shutdown_requested);
         *requested = true;
         self.shutdown_cv.notify_all();
     }
@@ -286,7 +287,7 @@ impl SocketServer {
     /// client that submitted before the crash can keep polling the same id
     /// after the restart.
     pub fn adopt_jobs(&self, jobs: Vec<(u64, Ticket<JobOutput>)>) {
-        let mut map = self.state.jobs.lock();
+        let mut map = lock(&self.state.jobs);
         for (id, ticket) in jobs {
             map.insert(id, ticket);
         }
@@ -296,10 +297,8 @@ impl SocketServer {
     /// the hosting process to [`stop`](Self::stop) the listener and shut
     /// the service down).
     pub fn wait_shutdown(&self) {
-        let mut requested = self.state.shutdown_requested.lock();
-        while !*requested {
-            self.state.shutdown_cv.wait(&mut requested);
-        }
+        let requested = lock(&self.state.shutdown_requested);
+        let _requested = self.state.shutdown_cv.wait_while(requested, |r| !*r);
     }
 
     /// Stop accepting, close every live connection, and join all threads.

@@ -9,12 +9,13 @@
 //! every restart, which is exactly the history these totals summarize.
 
 use crate::cache::CacheStats;
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use tracto_trace::json::{escape_into, parse, Json};
 
 /// Shared counter block the workers write into.
@@ -81,24 +82,21 @@ pub(crate) struct BatchSample {
 
 impl Metrics {
     pub(crate) fn tenant_submitted(&self, name: &str) {
-        self.tenants
-            .lock()
+        lock(&self.tenants)
             .entry(name.to_string())
             .or_default()
             .submitted += 1;
     }
 
     pub(crate) fn tenant_completed(&self, name: &str) {
-        self.tenants
-            .lock()
+        lock(&self.tenants)
             .entry(name.to_string())
             .or_default()
             .completed += 1;
     }
 
     pub(crate) fn tenant_shed(&self, name: &str) {
-        self.tenants
-            .lock()
+        lock(&self.tenants)
             .entry(name.to_string())
             .or_default()
             .shed += 1;
@@ -110,7 +108,7 @@ impl Metrics {
         self.lanes_tracked
             .fetch_add(sample.lanes, Ordering::Relaxed);
         self.launches.fetch_add(sample.launches, Ordering::Relaxed);
-        let mut acc = self.accum.lock();
+        let mut acc = lock(&self.accum);
         acc.tracking_sim_s += sample.wall_s;
         acc.tracking_serial_sim_s += sample.serial_s;
         acc.overlap_saved_sim_s += sample.overlap_saved_s;
@@ -205,7 +203,7 @@ pub struct TenantSnapshot {
 
 impl Metrics {
     pub(crate) fn snapshot(&self, in_flight: u64, cache: CacheStats) -> MetricsSnapshot {
-        let acc = *self.accum.lock();
+        let acc = *lock(&self.accum);
         let batches = self.batches.load(Ordering::Relaxed);
         let batch_jobs = self.batch_jobs.load(Ordering::Relaxed);
         MetricsSnapshot {
@@ -249,9 +247,7 @@ impl Metrics {
             sheds: self.sheds.load(Ordering::Relaxed),
             demotions: self.demotions.load(Ordering::Relaxed),
             rate_limited: self.rate_limited.load(Ordering::Relaxed),
-            tenants: self
-                .tenants
-                .lock()
+            tenants: lock(&self.tenants)
                 .iter()
                 .map(|(name, t)| TenantSnapshot {
                     name: name.clone(),
@@ -309,7 +305,7 @@ impl MetricsPersist {
             counter.fetch_add(load(key), Ordering::Relaxed);
         }
         if let Some(Json::Array(rows)) = v.get("tenants") {
-            let mut tenants = metrics.tenants.lock();
+            let mut tenants = lock(&metrics.tenants);
             for row in rows {
                 let Some(name) = row.get("name").and_then(Json::as_str) else {
                     continue;
@@ -328,7 +324,7 @@ impl MetricsPersist {
     /// Persist the current SLO totals. Best-effort like journal appends: a
     /// full disk degrades metrics durability, never the jobs themselves.
     pub(crate) fn save(&self, metrics: &Metrics) {
-        let _guard = self.lock.lock();
+        let _guard = lock(&self.lock);
         let mut out = String::with_capacity(256);
         out.push('{');
         for (i, (key, counter)) in self.persisted_fields(metrics).iter().enumerate() {
@@ -341,7 +337,7 @@ impl MetricsPersist {
         }
         out.push_str(",\"tenants\":[");
         {
-            let tenants = metrics.tenants.lock();
+            let tenants = lock(&metrics.tenants);
             for (i, (name, t)) in tenants.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -559,7 +555,7 @@ mod tests {
         assert_eq!(fresh.sheds.load(Ordering::Relaxed), 2);
         assert_eq!(fresh.demotions.load(Ordering::Relaxed), 1);
         {
-            let tenants = fresh.tenants.lock();
+            let tenants = lock(&fresh.tenants);
             assert_eq!(tenants["hospital-a"].submitted, 2);
             assert_eq!(tenants["hospital-a"].completed, 1);
             assert_eq!(tenants["default"].shed, 1);
@@ -571,7 +567,7 @@ mod tests {
         let third = Metrics::default();
         MetricsPersist::open(&dir).seed(&third);
         assert_eq!(third.completed.load(Ordering::Relaxed), 8);
-        assert_eq!(third.tenants.lock()["hospital-a"].completed, 2);
+        assert_eq!(lock(&third.tenants)["hospital-a"].completed, 2);
         // A torn file (crash mid-write would be prevented by the rename,
         // but defend anyway) seeds nothing rather than wedging startup.
         fs::write(dir.join("metrics.json"), "{\"completed\":5,").unwrap();

@@ -37,12 +37,13 @@
 use crate::events::{job_state, terminal_kind};
 use crate::job::{JobOutput, Ticket};
 use crate::listener::{metrics_wire, ConnStream, Listener, ServerState};
+use crate::lock;
 use crate::spec::JobSpec;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind as IoKind, Read, Write};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tracto_proto::{
     b64, check_version, write_frame, Event, FrameBuf, JobState, Request, Response, PROTOCOL_VERSION,
@@ -85,12 +86,15 @@ pub(crate) struct Handles {
 
 /// Spawn the IO thread and worker pool over an already-bound listener.
 pub(crate) fn spawn(listener: Listener, state: Arc<ServerState>) -> TractoResult<Handles> {
-    let (task_tx, task_rx) = bounded::<Task>(1024);
-    let (resp_tx, resp_rx) = bounded::<(u64, Response)>(1024);
+    let (task_tx, task_rx) = sync_channel::<Task>(1024);
+    let (resp_tx, resp_rx) = sync_channel::<(u64, Response)>(1024);
+    // The pool shares the one task receiver: whoever holds the lock
+    // waits for the next task, the others wait for the lock.
+    let task_rx = Arc::new(Mutex::new(task_rx));
     let mut workers = Vec::with_capacity(WORKERS);
     for i in 0..WORKERS {
         let state = Arc::clone(&state);
-        let rx = task_rx.clone();
+        let rx = Arc::clone(&task_rx);
         let tx = resp_tx.clone();
         let h = std::thread::Builder::new()
             .name(format!("tracto-reactor-work-{i}"))
@@ -114,8 +118,10 @@ pub(crate) fn spawn(listener: Listener, state: Arc<ServerState>) -> TractoResult
     Ok(Handles { io, workers })
 }
 
-fn worker_loop(state: &ServerState, rx: &Receiver<Task>, tx: &Sender<(u64, Response)>) {
-    while let Ok(task) = rx.recv() {
+fn worker_loop(state: &ServerState, rx: &Mutex<Receiver<Task>>, tx: &SyncSender<(u64, Response)>) {
+    loop {
+        // The guard drops at the end of this statement, before the task runs.
+        let Ok(task) = lock(rx).recv() else { break };
         match task {
             Task::Drain { conn } => {
                 state.service.drain();
@@ -241,7 +247,7 @@ struct Io {
     state: Arc<ServerState>,
     conns: HashMap<u64, Conn>,
     waiters: Vec<Waiter>,
-    task_tx: Sender<Task>,
+    task_tx: SyncSender<Task>,
     resp_rx: Receiver<(u64, Response)>,
 }
 
@@ -518,7 +524,7 @@ impl Io {
                         },
                         Ok(ticket) => {
                             let job = ticket.id.0;
-                            self.state.jobs.lock().insert(job, ticket);
+                            lock(&self.state.jobs).insert(job, ticket);
                             self.state.remote_jobs.fetch_add(1, Ordering::Relaxed);
                             Response::Submitted { job }
                         }
@@ -718,7 +724,7 @@ impl Io {
             match self.state.service.try_submit(spec) {
                 Ok(ticket) => {
                     let adopted = ticket.id.0;
-                    self.state.jobs.lock().insert(adopted, ticket);
+                    lock(&self.state.jobs).insert(adopted, ticket);
                     self.state.remote_jobs.fetch_add(1, Ordering::Relaxed);
                     jobs.push((r.id, adopted));
                 }
@@ -868,9 +874,7 @@ impl Io {
     }
 
     fn lookup(&self, job: u64) -> Result<Ticket<JobOutput>, Response> {
-        self.state
-            .jobs
-            .lock()
+        lock(&self.state.jobs)
             .get(&job)
             .cloned()
             .ok_or(Response::Error {

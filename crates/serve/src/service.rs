@@ -32,13 +32,13 @@ use crate::config::ServiceConfig;
 use crate::events::EventBus;
 use crate::job::{EstimateResult, JobError, JobId, JobOutput, Ticket, TrackResult};
 use crate::journal::{JobJournal, RecoveredJob, Terminal};
+use crate::lock;
 use crate::metrics::{Metrics, MetricsPersist, MetricsSnapshot};
 use crate::spec::{materialize_dataset, DatasetSource, JobSpec, Work};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tracto::mcmc::{ChainConfig, CheckpointPolicy, CheckpointStore, SampleVolumes};
 use tracto::phantom::Dataset;
@@ -143,10 +143,10 @@ impl PrepQueue {
     /// ticket must drop at the caller, outside the queue lock).
     #[allow(clippy::result_large_err)]
     fn push(&self, task: PrepTask) -> Result<(), PrepTask> {
-        let mut state = self.inner.lock();
-        while state.entries.len() >= self.cap && !state.closed {
-            self.vacancy.wait(&mut state);
-        }
+        let state = lock(&self.inner);
+        let mut state = (self.vacancy)
+            .wait_while(state, |s| s.entries.len() >= self.cap && !s.closed)
+            .unwrap_or_else(PoisonError::into_inner);
         if state.closed {
             return Err(task);
         }
@@ -157,7 +157,7 @@ impl PrepQueue {
     /// Enqueue without blocking; a full queue is the caller's load shed.
     #[allow(clippy::result_large_err)]
     fn try_push(&self, task: PrepTask) -> Result<(), TryPushError> {
-        let mut state = self.inner.lock();
+        let mut state = lock(&self.inner);
         if state.closed {
             return Err(TryPushError::Closed(task));
         }
@@ -172,7 +172,7 @@ impl PrepQueue {
     /// queue is empty. Returns `None` only when the queue is closed *and*
     /// drained, so shutdown still runs every accepted job.
     fn pop(&self) -> Option<PrepTask> {
-        let mut state = self.inner.lock();
+        let mut state = lock(&self.inner);
         loop {
             if let Some(best) = Self::best_index(&state.entries) {
                 let entry = state.entries.swap_remove(best);
@@ -182,7 +182,10 @@ impl PrepQueue {
             if state.closed {
                 return None;
             }
-            self.nonempty.wait(&mut state);
+            state = self
+                .nonempty
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -205,7 +208,7 @@ impl PrepQueue {
 
     /// Stop accepting jobs and wake everyone; queued jobs still drain.
     fn close(&self) {
-        self.inner.lock().closed = true;
+        lock(&self.inner).closed = true;
         self.nonempty.notify_all();
         self.vacancy.notify_all();
     }
@@ -324,7 +327,7 @@ struct Shared {
 
 impl Shared {
     fn job_started(&self, tenant: &str) {
-        *self.in_flight.lock() += 1;
+        *lock(&self.in_flight) += 1;
         self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
         self.metrics.tenant_submitted(tenant);
     }
@@ -342,9 +345,7 @@ impl Shared {
     /// shed counters are already ticked.
     fn admission_shed(&self, spec: &JobSpec) -> Option<JobError> {
         if self.rate_limit > 0.0 {
-            let verdict = self
-                .buckets
-                .lock()
+            let verdict = lock(&self.buckets)
                 .entry(spec.tenant.clone())
                 .or_insert_with(|| TokenBucket::full(self.rate_limit))
                 .take(self.rate_limit);
@@ -465,7 +466,7 @@ impl Shared {
     }
 
     fn jobs_finished(&self, jobs: u64) {
-        let mut n = self.in_flight.lock();
+        let mut n = lock(&self.in_flight);
         *n -= jobs;
         if *n == 0 {
             self.idle.notify_all();
@@ -573,7 +574,7 @@ impl Shared {
             DatasetSource::Loaded(ds) => Ok(Arc::clone(ds)),
             DatasetSource::Phantom(spec) => {
                 let key = spec.canonical();
-                if let Some(ds) = self.phantoms.lock().get(&key) {
+                if let Some(ds) = lock(&self.phantoms).get(&key) {
                     return Ok(Arc::clone(ds));
                 }
                 // Build outside the lock — materialization is seconds of
@@ -586,7 +587,7 @@ impl Shared {
                     materialize_dataset(spec)
                 };
                 let built = Arc::new(built.map_err(|e| JobError::Failed(Arc::new(e)))?);
-                let mut memo = self.phantoms.lock();
+                let mut memo = lock(&self.phantoms);
                 Ok(Arc::clone(memo.entry(key).or_insert(built)))
             }
         }
@@ -666,7 +667,7 @@ impl Shared {
         };
         self.estimate_ewma_ms.store(ewma, Ordering::Relaxed);
         self.metrics.estimations_run.fetch_add(1, Ordering::Relaxed);
-        self.metrics.accum.lock().estimation_sim_s += report.ledger.total_s();
+        lock(&self.metrics.accum).estimation_sim_s += report.ledger.total_s();
         let samples = Arc::new(report.samples);
         if policy == CachePolicy::ReadWrite {
             self.cache
@@ -802,7 +803,7 @@ impl TractoService {
                 // `shutdown_inner` joins the workers — joining it here
                 // would deadlock.
                 if let (Some(target), Some(member)) = (&config.replicate_to, &config.member) {
-                    let (tx, rx) = crossbeam::channel::unbounded();
+                    let (tx, rx) = std::sync::mpsc::channel();
                     let snapshot: Vec<String> = journal
                         .snapshot_text()
                         .lines()
@@ -860,7 +861,7 @@ impl TractoService {
             config.queue_capacity,
             Arc::clone(&shared.bus),
         ));
-        let (ready_tx, ready_rx) = bounded::<ReadyTrack>(config.queue_capacity);
+        let (ready_tx, ready_rx) = sync_channel::<ReadyTrack>(config.queue_capacity);
 
         let mut workers = Vec::new();
         for i in 0..config.estimate_workers {
@@ -1024,7 +1025,7 @@ impl TractoService {
     /// checkpointed runner finds the snapshot, so at most one checkpoint
     /// interval of MCMC work is repeated.
     pub fn recover(&self) -> Vec<(u64, Ticket<JobOutput>)> {
-        let jobs = std::mem::take(&mut *self.recovered.lock());
+        let jobs = std::mem::take(&mut *lock(&self.recovered));
         let mut out = Vec::with_capacity(jobs.len());
         for r in jobs {
             let ticket = Ticket::new(JobId(r.id));
@@ -1077,10 +1078,8 @@ impl TractoService {
 
     /// Block until every accepted job has completed (successfully or not).
     pub fn drain(&self) {
-        let mut n = self.shared.in_flight.lock();
-        while *n > 0 {
-            self.shared.idle.wait(&mut n);
-        }
+        let n = lock(&self.shared.in_flight);
+        let _n = self.shared.idle.wait_while(n, |n| *n > 0);
     }
 
     /// Jobs admitted and not yet received by the batch worker.
@@ -1091,7 +1090,7 @@ impl TractoService {
 
     /// Current metrics.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let in_flight = *self.shared.in_flight.lock();
+        let in_flight = *lock(&self.shared.in_flight);
         self.shared
             .metrics
             .snapshot(in_flight, self.shared.cache.stats())
@@ -1136,7 +1135,7 @@ enum Prepared {
 fn estimate_worker(
     index: usize,
     queue: Arc<PrepQueue>,
-    tx: Sender<ReadyTrack>,
+    tx: SyncSender<ReadyTrack>,
     shared: Arc<Shared>,
     device: DeviceConfig,
 ) {
@@ -2395,7 +2394,7 @@ mod tests {
         for t in tickets {
             t.wait_track().expect("phantom jobs complete");
         }
-        assert_eq!(service.shared.phantoms.lock().len(), 1, "one build, shared");
+        assert_eq!(lock(&service.shared.phantoms).len(), 1, "one build, shared");
         let snap = service.shutdown();
         assert_eq!(snap.completed, 3);
         assert_eq!(snap.estimations_run, 1, "identical recipes share the cache");

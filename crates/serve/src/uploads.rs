@@ -20,11 +20,12 @@
 //! retries on the *same* connection continues from the staged length
 //! that `upload_begin` reports.
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use tracto_proto::{content_digest, UPLOAD_CHUNK_MAX};
 use tracto_trace::{TractoError, TractoResult};
 
@@ -105,7 +106,7 @@ impl UploadStore {
                 0
             }
         };
-        let mut open = self.open.lock();
+        let mut open = lock(&self.open);
         let entry = open.entry((conn, hash.to_string())).or_insert(OpenUpload {
             declared_len: len,
             staged,
@@ -133,7 +134,7 @@ impl UploadStore {
                 data.len()
             )));
         }
-        let mut open = self.open.lock();
+        let mut open = lock(&self.open);
         let key = (conn, hash.to_string());
         let entry = open.get_mut(&key).ok_or_else(|| {
             TractoError::protocol(format!(
@@ -170,7 +171,7 @@ impl UploadStore {
     pub fn commit(&self, conn: u64, hash: &str) -> TractoResult<u64> {
         validate_hash(hash)?;
         let key = (conn, hash.to_string());
-        let entry = self.open.lock().remove(&key).ok_or_else(|| {
+        let entry = lock(&self.open).remove(&key).ok_or_else(|| {
             TractoError::protocol(format!(
                 "upload {hash} is not open (send upload_begin first)"
             ))
@@ -209,7 +210,7 @@ impl UploadStore {
     /// Drop every uncommitted upload owned by a connection (called when it
     /// closes, for any reason). Committed blobs are untouched.
     pub fn drop_conn(&self, conn: u64) {
-        let mut open = self.open.lock();
+        let mut open = lock(&self.open);
         let dead: Vec<(u64, String)> = open.keys().filter(|(c, _)| *c == conn).cloned().collect();
         for key in dead {
             let _ = fs::remove_file(self.staging_path(key.0, &key.1));

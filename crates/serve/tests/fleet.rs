@@ -111,7 +111,7 @@ fn replica_prefix_plus_tail_replays_like_recover() {
 fn journal_mirror_tees_every_record() {
     let dir = tmp("mirror");
     let (journal, _) = JobJournal::open(&dir, Tracer::disabled()).unwrap();
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     journal.set_mirror(tx);
     journal.submitted(7, &wire_job(7));
     journal.completed(7);

@@ -2,7 +2,7 @@
 //! hierarchy.
 //!
 //! This crate is the root of the workspace dependency graph (it depends on
-//! nothing, not even the shims) and provides the two cross-cutting seams
+//! nothing but std) and provides the two cross-cutting seams
 //! every other layer threads through:
 //!
 //! * **Events** — [`Tracer`] is a cheap-clone handle over a pluggable

@@ -81,7 +81,7 @@ impl std::fmt::Display for Modality {
 
 /// How one tracking step picks its direction. Object-safe so drivers hold
 /// `&dyn DirectionGetter`; implementations must be [`Sync`] so one getter
-/// can serve lanes stepped from rayon workers.
+/// can serve lanes stepped on the launch's worker threads.
 ///
 /// Deterministic getters ignore `rng`; it is threaded through so
 /// stochastic getters (bootstrap, learned) slot in without an API change.
